@@ -116,7 +116,7 @@ func solveSub(prob *Problem, pol *policy.Policy, opts Options, span *obs.Span) (
 	sub := &Problem{Network: prob.Network, Routing: prob.Routing, Policies: []*policy.Policy{pol}}
 	subSp := span.Child("sub_solve")
 	defer subSp.End()
-	enc, err := buildEncoding(sub, opts, subSp.Child("encode"))
+	enc, err := encode(sub, opts, subSp)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"strings"
 	"testing"
 
+	"rulefit/internal/obs"
 	"rulefit/internal/policy"
 	"rulefit/internal/routing"
 	"rulefit/internal/topology"
@@ -96,13 +97,15 @@ func sharedBottleneckProblem(t *testing.T) *Problem {
 // TestDecomposedFallbackOnSharedCapacity drives the stitch-rejection
 // branch: independent optima overload a shared switch, so Place must
 // fall back to the joint solve and return the capacity-respecting
-// joint optimum.
+// joint optimum — with every span of the traced run ended.
 func TestDecomposedFallbackOnSharedCapacity(t *testing.T) {
 	prob := sharedBottleneckProblem(t)
-	pl, err := Place(prob, Options{})
+	tr := obs.NewTrace()
+	pl, err := Place(prob, Options{Trace: tr})
 	if err != nil {
 		t.Fatal(err)
 	}
+	assertSpansEnded(t, tr)
 	if pl.Status != StatusOptimal || pl.Objective != 3 {
 		t.Fatalf("status %v obj %g, want optimal obj 3", pl.Status, pl.Objective)
 	}

@@ -10,8 +10,8 @@ import (
 
 // TestPlaceFlightRecorderDoesNotPerturb is the pipeline-level
 // introspection invariant: running the full placement with a flight
-// recorder, a live progress cell, pprof labels, and a trace ID attached
-// produces the identical placement — assignments, merges, objective,
+// recorder, a live progress cell, and a trace-ID tag on the event
+// stream produces the identical placement — assignments, merges, objective,
 // and search effort — as a bare run, for Workers ∈ {1, 2, 8}.
 func TestPlaceFlightRecorderDoesNotPerturb(t *testing.T) {
 	for _, fx := range determinismFixtures() {
@@ -27,8 +27,7 @@ func TestPlaceFlightRecorderDoesNotPerturb(t *testing.T) {
 				var prog obs.Progress
 				inst, err := Place(fx.build(t), Options{
 					Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-					SolverSink: rec, Progress: &prog, ProfileLabels: true,
-					Request: obs.NewRequestCtx("req-000051"),
+					SolverSink: obs.Tag("req-000051", obs.Multi(rec, &prog)),
 				})
 				if err != nil {
 					t.Fatalf("workers=%d instrumented: %v", w, err)
@@ -82,5 +81,63 @@ func TestPlaceSearchProfileStats(t *testing.T) {
 	}
 	if sat.Stats.RootGap != -1 {
 		t.Errorf("SAT placement RootGap = %g, want -1 sentinel (no LP relaxation)", sat.Stats.RootGap)
+	}
+}
+
+// snapshotLog is a Sink that forwards each event to a progress cell and
+// logs every snapshot the event publishes.
+type snapshotLog struct {
+	prog  *obs.Progress
+	snaps []obs.ProgressSnapshot
+	solve int // solver done events seen
+}
+
+func (l *snapshotLog) Event(e obs.Event) {
+	l.prog.Event(e)
+	if e.Kind == obs.KindDone {
+		l.solve++
+	}
+	if s, ok := l.prog.Snapshot(); ok && (len(l.snaps) == 0 || s != l.snaps[len(l.snaps)-1]) {
+		l.snaps = append(l.snaps, s)
+	}
+}
+
+// TestPlaceProgressDoneOnlyAtEnd: a place that runs several solves — a
+// decomposed place, and one whose stitch is rejected and falls back to
+// the joint solve — marks its progress Done only on the last snapshot,
+// once the answer is final, not at the first sub-solve's done event.
+func TestPlaceProgressDoneOnlyAtEnd(t *testing.T) {
+	for _, fx := range []struct {
+		name  string
+		build func(*testing.T) *Problem
+	}{
+		{"decomposed", func(t *testing.T) *Problem {
+			prob := determinismProblem(t)
+			prob.Policies = prob.Policies[:2]
+			return prob
+		}},
+		{"fallback", sharedBottleneckProblem},
+	} {
+		t.Run(fx.name, func(t *testing.T) {
+			log := &snapshotLog{prog: &obs.Progress{}}
+			pl, err := Place(fx.build(t), Options{TimeLimit: 60 * time.Second, SolverSink: log})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if log.solve < 2 {
+				t.Fatalf("fixture ran %d solves, want several", log.solve)
+			}
+			for i, s := range log.snaps {
+				if last := i == len(log.snaps)-1; s.Done != last {
+					t.Fatalf("snapshot %d of %d: Done=%v: %+v", i+1, len(log.snaps), s.Done, s)
+				}
+			}
+			final := log.snaps[len(log.snaps)-1]
+			//lint:exactfloat the snapshot copies the objective, it does not recompute it
+			if final.Phase != "done" || final.Nodes != pl.Stats.BnBNodes || final.Incumbent != pl.Objective {
+				t.Fatalf("final snapshot %+v disagrees with placement (%d nodes, obj %g)",
+					final, pl.Stats.BnBNodes, pl.Objective)
+			}
+		})
 	}
 }

@@ -13,11 +13,24 @@ import (
 // Place solves the rule placement problem per the paper's flow (Fig. 4):
 // optional redundancy removal, dependency graph construction, mergeable
 // rule detection, encoding, solving, and solution extraction. Tag
-// assignment happens when tables are compiled (BuildTables).
-func Place(prob *Problem, opts Options) (*Placement, error) {
+// assignment happens when tables are compiled (BuildTables). Place
+// closes opts.SolverSink's stream with a "done" phase event once its
+// answer is final (a decomposed place runs several solves).
+func Place(prob *Problem, opts Options) (pl *Placement, err error) {
+	start := time.Now()
 	opts = opts.withDefaults()
 	place := opts.Trace.Span("place")
 	defer place.End()
+	if opts.SolverSink != nil {
+		defer func() {
+			if err == nil {
+				opts.SolverSink.Event(obs.Event{Kind: obs.KindPhase, Phase: "done",
+					Outcome: pl.Status.String(), Node: pl.Stats.BnBNodes, BranchVar: -1,
+					Incumbent: pl.Objective, BestBound: pl.Stats.BestBound, Gap: pl.Stats.Gap,
+					TimeMS: float64(time.Since(start).Microseconds()) / 1e3})
+			}
+		}()
+	}
 	if err := prob.Validate(); err != nil {
 		return nil, err
 	}
@@ -36,17 +49,10 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 			return pl, nil
 		}
 	}
-	encSp := place.Child("encode")
-	enc, err := buildEncoding(prob, opts, encSp)
+	enc, err := encode(prob, opts, place)
 	if err != nil {
-		encSp.End()
 		return nil, err
 	}
-	if encSp != nil {
-		encSp.SetCount("vars", int64(len(enc.vars)))
-		encSp.SetCount("constraints", int64(enc.numConstraints()))
-	}
-	encSp.End()
 	if enc.infeasibleReason != "" {
 		// The encoding itself proved the instance unsatisfiable (e.g. a
 		// monitoring constraint leaves a DROP rule nowhere to go).
@@ -60,8 +66,7 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 	if opts.Objective == ObjMinMaxLoad && opts.Backend != BackendILP && !opts.SatisfyOnly {
 		return nil, fmt.Errorf("core: %v requires the ILP backend", opts.Objective)
 	}
-	start := time.Now()
-	var pl *Placement
+	solveStart := time.Now()
 	switch opts.Backend {
 	case BackendILP:
 		pl, err = solveILP(enc, opts, place)
@@ -76,8 +81,56 @@ func Place(prob *Problem, opts Options) (*Placement, error) {
 	pl.Stats.Backend = opts.Backend
 	pl.Stats.Variables = len(enc.vars)
 	pl.Stats.Constraints = enc.numConstraints()
-	pl.Stats.SolveTime = time.Since(start)
+	pl.Stats.SolveTime = time.Since(solveStart)
 	return pl, nil
+}
+
+// encode runs buildEncoding under an "encode" child of span, ended on
+// every path and carrying the encoding's vars/constraints counters.
+func encode(prob *Problem, opts Options, span *obs.Span) (*encoding, error) {
+	encSp := span.Child("encode")
+	defer encSp.End()
+	enc, err := buildEncoding(prob, opts, encSp)
+	if err != nil {
+		return nil, err
+	}
+	if encSp != nil {
+		encSp.SetCount("vars", int64(len(enc.vars)))
+		encSp.SetCount("constraints", int64(enc.numConstraints()))
+	}
+	return enc, nil
+}
+
+// phaseSpans derives the solver's phase spans from its event stream:
+// a phase event opens a child of the solve span, and the next phase
+// or done event ends it with that phase's counters, read from the
+// closing event's running totals.
+type phaseSpans struct {
+	solve *obs.Span
+	open  *obs.Span
+	phase string
+}
+
+func (p *phaseSpans) Event(e obs.Event) {
+	if e.Kind != obs.KindPhase && e.Kind != obs.KindDone {
+		return
+	}
+	switch p.phase {
+	case "presolve":
+		p.open.SetCount("fixes", int64(e.Fixes))
+	case "root_lp":
+		p.open.SetCount("iters", int64(e.Iters))
+		p.open.SetCount("refactors", int64(e.Refactors))
+	case "cuts":
+		p.open.SetCount("cuts", int64(e.Cuts))
+	case "search":
+		p.open.SetCount("nodes", int64(e.Node))
+	}
+	p.open.End()
+	p.open, p.phase = nil, ""
+	if e.Kind == obs.KindPhase {
+		p.open, p.phase = p.solve.Child(e.Phase), e.Phase
+	}
 }
 
 // solveILP encodes to the MILP solver (Eqs. 1–5) and extracts the result.
@@ -90,17 +143,24 @@ func solveILP(enc *encoding, opts Options, span *obs.Span) (*Placement, error) {
 	}
 	buildSp.End()
 	solveSp := span.Child("solve")
+	// Attached only with a span to fill: nil Trace and nil SolverSink
+	// still hand the solver a nil sink.
+	sink := opts.SolverSink
+	var phases *phaseSpans
+	if solveSp != nil {
+		phases = &phaseSpans{solve: solveSp}
+		sink = obs.Multi(sink, phases)
+	}
 	sol, err := ilp.Solve(m, ilp.Options{
 		TimeLimit:       opts.TimeLimit,
 		DisablePresolve: opts.DisablePresolve,
 		DisableCuts:     opts.DisableCuts,
 		Workers:         opts.Workers,
-		Sink:            opts.SolverSink,
-		TraceID:         opts.traceID(),
-		Span:            solveSp,
-		Progress:        opts.Progress,
-		ProfileLabels:   opts.ProfileLabels,
+		Sink:            sink,
 	})
+	if phases != nil {
+		phases.open.End() // a solve that errored never sent its done event
+	}
 	if err != nil {
 		solveSp.End()
 		return nil, err

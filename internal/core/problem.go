@@ -126,25 +126,12 @@ type Options struct {
 	// model build → solve → extract) for the run. Timing only; the
 	// placement is identical with or without it.
 	Trace *obs.Trace
-	// SolverSink receives structured solver events from the ILP backend
-	// (nil disables tracing). The placement is byte-identical with the
-	// sink attached or not.
+	// SolverSink receives the ILP backend's event stream, closed by
+	// Place's own "done" phase event (nil disables it). Every solve
+	// observer — flight rings, live progress, profiler labels — is a
+	// consumer of this stream; the caller stamps request trace IDs with
+	// obs.Tag. The placement is byte-identical with any sink attached.
 	SolverSink obs.Sink
-	// Progress, when non-nil, receives live solve snapshots (phase,
-	// incumbent, bound, gap) published from the ILP solver's sequential
-	// sections. Read-only for the solver; the placement is byte-identical
-	// with or without it.
-	Progress *obs.Progress
-	// ProfileLabels attaches pprof goroutine labels (trace_id, phase)
-	// around ILP solve phases so CPU profiles attribute samples to
-	// requests. Observational only.
-	ProfileLabels bool
-	// Request, when non-nil, scopes the run to one operational request:
-	// its Trace collects the phase spans when Options.Trace is unset,
-	// and its TraceID is stamped on every solver event so spans, B&B
-	// events, and log lines join by ID. Purely observational — the
-	// placement is byte-identical with or without it.
-	Request *obs.RequestCtx
 	// EncodeCache, when non-nil, memoizes the pure per-policy encode
 	// stages (redundancy removal, dependency graphs) and the
 	// cross-policy merge search across solves, keyed by policy content.
@@ -162,14 +149,6 @@ type Options struct {
 	SolutionCache *SolutionCache
 }
 
-// traceID returns the request trace ID ("" when unscoped).
-func (o Options) traceID() string {
-	if o.Request == nil {
-		return ""
-	}
-	return o.Request.TraceID
-}
-
 // withDefaults fills in unset options.
 func (o Options) withDefaults() Options {
 	if o.Backend == 0 {
@@ -177,9 +156,6 @@ func (o Options) withDefaults() Options {
 	}
 	if o.Objective == 0 {
 		o.Objective = ObjTotalRules
-	}
-	if o.Request != nil && o.Trace == nil {
-		o.Trace = o.Request.Trace
 	}
 	return o
 }

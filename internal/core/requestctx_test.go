@@ -9,10 +9,10 @@ import (
 )
 
 // TestPlaceRequestCtxDoesNotPerturb is the acceptance gate for
-// request-scoped observability: attaching a RequestCtx (trace ID +
-// span trace) must leave the placement byte-identical to an unscoped
-// run, while stamping the ID on every solver event and adopting the
-// request's span trace.
+// request-scoped observability: a caller-owned span trace carrying the
+// request's ID and an obs.Tag-stamped event stream must leave the
+// placement byte-identical to an unscoped run, while every solver
+// event carries the ID and the spans land in the caller's trace.
 func TestPlaceRequestCtxDoesNotPerturb(t *testing.T) {
 	const id = "req-000001-00000000cafebabe"
 	for _, w := range []int{1, 4} {
@@ -23,10 +23,11 @@ func TestPlaceRequestCtxDoesNotPerturb(t *testing.T) {
 			t.Fatalf("workers=%d: %v", w, err)
 		}
 		var rec obs.Recorder
-		rc := obs.NewRequestCtx(id)
+		tr := obs.NewTrace()
+		tr.SetID(id)
 		scoped, err := Place(determinismProblem(t), Options{
 			Merging: true, TimeLimit: 60 * time.Second, Workers: w,
-			Request: rc, SolverSink: &rec,
+			Trace: tr, SolverSink: obs.Tag(id, &rec),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d scoped: %v", w, err)
@@ -46,28 +47,12 @@ func TestPlaceRequestCtxDoesNotPerturb(t *testing.T) {
 				t.Fatalf("workers=%d: event %d missing trace ID: %+v", w, i, e)
 			}
 		}
-		// The request's trace collected the phase spans.
-		if len(rc.Trace.Roots()) != 1 || rc.Trace.Roots()[0].Name() != "place" {
-			t.Fatalf("workers=%d: request trace roots = %v", w, rc.Trace.Roots())
+		if last := events[len(events)-1]; last.Kind != obs.KindPhase || last.Phase != "done" {
+			t.Fatalf("workers=%d: stream not closed by Place's done phase event: %+v", w, last)
 		}
-	}
-}
-
-// TestPlaceExplicitTraceWinsOverRequest asserts precedence: when both
-// Options.Trace and a RequestCtx are set, spans land in the explicit
-// trace and the request's own trace stays empty.
-func TestPlaceExplicitTraceWinsOverRequest(t *testing.T) {
-	rc := obs.NewRequestCtx("req-000002-0000000000000001")
-	tr := obs.NewTrace()
-	if _, err := Place(determinismProblem(t), Options{
-		Merging: true, TimeLimit: 60 * time.Second, Trace: tr, Request: rc,
-	}); err != nil {
-		t.Fatal(err)
-	}
-	if len(tr.Roots()) != 1 {
-		t.Fatalf("explicit trace got %d roots", len(tr.Roots()))
-	}
-	if len(rc.Trace.Roots()) != 0 {
-		t.Fatalf("request trace unexpectedly collected %d roots", len(rc.Trace.Roots()))
+		// The caller's trace collected the phase spans, under its ID.
+		if len(tr.Roots()) != 1 || tr.Roots()[0].Name() != "place" || tr.ID() != id {
+			t.Fatalf("workers=%d: trace %q roots = %v", w, tr.ID(), tr.Roots())
+		}
 	}
 }

@@ -51,26 +51,39 @@ func TestPlaceTracingDoesNotPerturb(t *testing.T) {
 }
 
 // TestPlaceTraceEventsDeterministic asserts the event stream surfaced
-// through core is identical (modulo timing) across worker counts.
+// through core, phase events and Place's closing done included, is
+// identical (modulo timing) across worker counts — for a joint merged
+// place and for a decomposed place that falls back to a branching
+// joint solve.
 func TestPlaceTraceEventsDeterministic(t *testing.T) {
-	events := func(workers int) []obs.Event {
-		var rec obs.Recorder
-		_, err := Place(determinismProblem(t), Options{
-			Merging: true, TimeLimit: 60 * time.Second, Workers: workers, SolverSink: &rec,
-		})
-		if err != nil {
-			t.Fatal(err)
+	for _, fx := range []struct {
+		name  string
+		build func(*testing.T) *Problem
+		opts  Options
+	}{
+		{"joint", determinismProblem, Options{Merging: true}},
+		{"fallback", func(t *testing.T) *Problem { return fatTreeProblem(t, 8, 20) }, Options{}},
+	} {
+		events := func(workers int) []obs.Event {
+			var rec obs.Recorder
+			opts := fx.opts
+			opts.TimeLimit, opts.Workers, opts.SolverSink = 60*time.Second, workers, &rec
+			if _, err := Place(fx.build(t), opts); err != nil {
+				t.Fatal(err)
+			}
+			evs := rec.Events()
+			for i := range evs {
+				evs[i] = evs[i].Normalize()
+			}
+			return evs
 		}
-		evs := rec.Events()
-		for i := range evs {
-			evs[i] = evs[i].Normalize()
+		seq := events(1)
+		for _, w := range []int{2, 8} {
+			if par := events(w); !reflect.DeepEqual(seq, par) {
+				t.Fatalf("%s: workers=1 vs workers=%d event streams differ (%d vs %d events)",
+					fx.name, w, len(seq), len(par))
+			}
 		}
-		return evs
-	}
-	seq := events(1)
-	par := events(4)
-	if !reflect.DeepEqual(seq, par) {
-		t.Fatalf("workers=1 vs workers=4 event streams differ (%d vs %d events)", len(seq), len(par))
 	}
 }
 

@@ -23,13 +23,11 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os"
-	"path/filepath"
 	"runtime"
 	"sync/atomic"
 	"time"
 
 	"rulefit/internal/core"
-	"rulefit/internal/ilp"
 	"rulefit/internal/obs"
 	"rulefit/internal/spec"
 	"rulefit/internal/state"
@@ -429,131 +427,98 @@ func (s *Server) handlePlace(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	// The trace ID is derived even when the read failed (from the
-	// partial body), so every response — including this 400 — carries
-	// X-Rulefit-Trace-Id and is joinable with its log line.
-	traceID := obs.TraceIDFor(s.seq.Add(1), body)
-	st := requestState{traceID: traceID, start: start}
-	if err != nil {
-		st.code, st.status = http.StatusBadRequest, "bad_request"
-		st.err = fmt.Errorf("reading body: %w", err)
-		s.finish(w, r, st)
-		return
-	}
-
-	// Register the request's live-progress cell before admission so
-	// /debug/solvez sees it through queue wait and solve alike; the
-	// solver overwrites the cell from its sequential sections.
-	prog := &obs.Progress{}
-	prog.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
-	s.solves.add(traceID, prog)
-	defer s.solves.remove(traceID)
-
-	release, ok := s.acquireSlot(r, &st)
+	body, st, prog, done, ok := s.admitSolve(w, r, "")
 	if !ok {
 		s.finish(w, r, st)
 		return
 	}
-	defer release()
+	defer done()
 
 	parseStart := time.Now()
-	var req PlaceRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || len(req.Problem) == 0 {
-		if err == nil {
-			err = errors.New("missing problem")
-		}
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	desc, err := spec.LoadBytes(req.Problem)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	prob, err := desc.Build()
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts, err := req.Options.build(s.cfg)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts.Monitors, err = desc.BuildMonitors()
+	_, prob, opts, err := s.parsePlaceRequest(body)
 	if err != nil {
 		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
 		s.finish(w, r, st)
 		return
 	}
 	st.parse = time.Since(parseStart)
-	opts.Request = obs.NewRequestCtx(traceID)
-	st.trace = opts.Request.Trace
-	opts.Progress = prog
-	opts.ProfileLabels = s.cfg.ProfileThreshold > 0
-
-	var traceFile *os.File
-	var traceJW *obs.JSONLWriter
-	if s.cfg.TraceDir != "" {
-		f, err := os.Create(filepath.Join(s.cfg.TraceDir, "trace-"+traceID+".jsonl"))
-		if err != nil {
-			st.code, st.status, st.err = http.StatusInternalServerError, "error", err
-			s.finish(w, r, st)
-			return
-		}
-		traceFile = f
-		traceJW = obs.NewJSONLWriter(f)
-	}
-	// Every solve feeds a per-request flight ring (post-mortem scoped to
-	// this request) and the server's global ring, on top of the optional
-	// full trace file. Sinks never feed back: the placement is
-	// byte-identical whatever is attached.
-	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	sinks := []obs.Sink{rec, s.flight}
-	if traceJW != nil {
-		sinks = append(sinks, traceJW)
-	}
-	opts.SolverSink = obs.Multi(sinks...)
-	stopProf := s.watchProfile(traceID)
-	defer stopProf()
-	defer func() {
-		if p := recover(); p != nil {
-			s.dumpFlight(rec, traceID, "panic")
-			panic(p)
-		}
-	}()
-
-	pl, err := core.Place(prob, opts)
-	if traceFile != nil {
-		if ferr := traceJW.Flush(); ferr != nil && err == nil {
-			err = ferr
-		}
-		if cerr := traceFile.Close(); cerr != nil && err == nil {
-			err = cerr
-		}
-	}
+	pl, err := s.observeSolve(r, &st, prog, func(tr *obs.Trace, sink obs.Sink) (*core.Placement, error) {
+		opts.Trace, opts.SolverSink = tr, sink
+		return core.Place(prob, opts)
+	})
 	if err != nil {
-		st.code, st.status, st.err = http.StatusInternalServerError, "error", err
+		solveFailed(&st, err)
 		s.finish(w, r, st)
 		return
-	}
-	// A solve that died on its budget gets an automatic post-mortem:
-	// the per-request ring holds the tail of its event stream,
-	// including the final incumbent/bound state.
-	if pl.Stats.StopReason == ilp.StopDeadline || pl.Stats.StopReason == ilp.StopNodeLimit {
-		s.dumpFlight(rec, traceID, pl.Stats.StopReason.String())
 	}
 	st.code, st.status = http.StatusOK, pl.Status.String()
 	st.placement = pl
 	s.finish(w, r, st)
+}
+
+// admitSolve opens a solve-bound request: it reads the body, derives
+// the trace ID — even from a partial body, so every response, this 400
+// included, carries X-Rulefit-Trace-Id and joins its log line —
+// registers the request's progress cell before admission, so
+// /debug/solvez sees it through queue wait and solve alike, and runs
+// admission. With ok false, st is final and the caller only finishes
+// it; otherwise the caller defers done.
+func (s *Server) admitSolve(w http.ResponseWriter, r *http.Request, op string) (
+	body []byte, st requestState, prog *obs.Progress, done func(), ok bool) {
+	st = requestState{op: op, start: time.Now()}
+	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
+	id := obs.TraceIDFor(s.seq.Add(1), body)
+	st.traceID = id
+	if err != nil {
+		st.code, st.status = http.StatusBadRequest, "bad_request"
+		st.err = fmt.Errorf("reading body: %w", err)
+		return nil, st, nil, nil, false
+	}
+	prog = s.solves.admit(id)
+	release, ok := s.acquireSlot(r, &st)
+	if !ok {
+		s.solves.remove(id)
+		return nil, st, nil, nil, false
+	}
+	return body, st, prog, func() { release(); s.solves.remove(id) }, true
+}
+
+// parsePlaceRequest decodes a PlaceRequest body (the /v1/place and
+// /v1/session shape) into its spec description, the built instance and
+// the solve options, monitors included. Every error is the client's.
+func (s *Server) parsePlaceRequest(body []byte) (*spec.Problem, *core.Problem, core.Options, error) {
+	var req PlaceRequest
+	dec := json.NewDecoder(bytes.NewReader(body))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&req); err != nil {
+		return nil, nil, core.Options{}, err
+	}
+	if len(req.Problem) == 0 {
+		return nil, nil, core.Options{}, errors.New("missing problem")
+	}
+	desc, err := spec.LoadBytes(req.Problem)
+	if err != nil {
+		return nil, nil, core.Options{}, err
+	}
+	prob, err := desc.Build()
+	if err != nil {
+		return nil, nil, core.Options{}, err
+	}
+	opts, err := req.Options.build(s.cfg)
+	if err == nil {
+		opts.Monitors, err = desc.BuildMonitors()
+	}
+	return desc, prob, opts, err
+}
+
+// solveFailed fills st for a solve that returned an error: 400 when
+// the session layer rejected the instance or delta (state.ErrBadDelta),
+// 500 otherwise.
+func solveFailed(st *requestState, err error) {
+	st.code, st.status, st.err = http.StatusInternalServerError, "error", err
+	if errors.Is(err, state.ErrBadDelta) {
+		st.code, st.status = http.StatusBadRequest, "bad_request"
+	}
 }
 
 // statusClientClosed mirrors the conventional nginx 499 code for

@@ -13,21 +13,26 @@ import (
 	"sync/atomic"
 	"time"
 
+	"rulefit/internal/core"
+	"rulefit/internal/ilp"
 	"rulefit/internal/obs"
 )
 
-// This file is the daemon's solve-introspection layer:
+// This file is the daemon's solve-introspection layer. Every
+// solve-bound request (place, session create, session delta) runs
+// through observeSolve, which fans the request's one solver event
+// stream, tagged with its trace ID, out to:
 //
-//   - a registry of live solves, each publishing obs.ProgressSnapshot
-//     cells that /debug/solvez (and /statusz) read lock-free;
-//   - flight-recorder plumbing: every solve feeds a per-request ring
-//     and the server's global always-on ring; rings are dumped as
-//     JSONL (traceview-parseable) when a solve dies hard — deadline,
-//     node limit, panic — on admission shed, or on demand via
-//     /debug/flightz;
-//   - threshold-triggered profiling: a per-request watchdog that
-//     captures a CPU profile for solves outrunning
-//     Config.ProfileThreshold, labeled by trace_id/phase.
+//   - the request's obs.Progress cell, registered in a registry of
+//     live requests that /debug/solvez (and /statusz) read lock-free;
+//   - a per-request flight ring and the server's global always-on
+//     ring; rings are dumped as JSONL (traceview-parseable) when a
+//     solve dies hard — deadline, node limit, panic — on admission
+//     shed, or on demand via /debug/flightz;
+//   - pprof goroutine labels (trace_id, phase) when threshold-triggered
+//     profiling is armed: a per-request watchdog captures a CPU profile
+//     for solves outrunning Config.ProfileThreshold;
+//   - the optional per-request JSONL trace file (Config.TraceDir).
 //
 // Everything here is observational. Placements are byte-identical
 // with the whole layer on or off (TestIntrospectionNoPlacementEffect).
@@ -38,24 +43,36 @@ import (
 type solveReg struct {
 	mu    sync.Mutex
 	cells map[string]*obs.Progress
+	// finished, when set (tests only), receives each request's last
+	// snapshot as it deregisters.
+	finished func(obs.ProgressSnapshot)
 }
 
 func newSolveReg() *solveReg {
 	return &solveReg{cells: make(map[string]*obs.Progress)}
 }
 
-// add registers a request's progress cell under its trace ID.
-func (g *solveReg) add(traceID string, p *obs.Progress) {
+// admit registers a fresh progress cell under the request's trace ID,
+// reading "admitted" until the solver's first phase event.
+func (g *solveReg) admit(traceID string) *obs.Progress {
+	p := &obs.Progress{}
+	p.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
 	g.mu.Lock()
 	g.cells[traceID] = p
 	g.mu.Unlock()
+	return p
 }
 
 // remove deregisters a finished request.
 func (g *solveReg) remove(traceID string) {
 	g.mu.Lock()
+	p := g.cells[traceID]
 	delete(g.cells, traceID)
+	finished := g.finished
 	g.mu.Unlock()
+	if snap, ok := p.Snapshot(); ok && finished != nil {
+		finished(snap)
+	}
 }
 
 // snapshots returns the latest snapshot of every live cell, sorted by
@@ -112,6 +129,69 @@ func (s *Server) handleFlightz(w http.ResponseWriter, _ *http.Request) {
 		s.log.LogAttrs(context.Background(), slog.LevelWarn, "flightz",
 			slog.String("error", err.Error()))
 	}
+}
+
+// observeSolve runs solve (one request's core.Place, directly or via
+// the session layer) with a span trace carrying the request's ID (left
+// in st.trace) and one event stream tagged with it and fanned out to
+// the consumers above. It arms the profile watchdog, dumps the
+// per-request ring on panic or a deadline/node-limit stop, and
+// restores the handler goroutine's pprof labels afterwards.
+func (s *Server) observeSolve(r *http.Request, st *requestState, prog *obs.Progress,
+	solve func(tr *obs.Trace, sink obs.Sink) (*core.Placement, error)) (pl *core.Placement, err error) {
+	st.trace = obs.NewTrace()
+	st.trace.SetID(st.traceID)
+	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
+	sinks := []obs.Sink{rec, s.flight, prog}
+	if s.cfg.TraceDir != "" {
+		f, err := os.Create(filepath.Join(s.cfg.TraceDir, "trace-"+st.traceID+".jsonl"))
+		if err != nil {
+			return nil, err
+		}
+		jw := obs.NewJSONLWriter(f)
+		defer func() {
+			if ferr := jw.Flush(); ferr != nil && err == nil {
+				err = ferr
+			}
+			if cerr := f.Close(); cerr != nil && err == nil {
+				err = cerr
+			}
+		}()
+		sinks = append(sinks, jw)
+	}
+	if s.cfg.ProfileThreshold > 0 {
+		sinks = append(sinks, pprofLabels{ctx: r.Context()})
+		defer pprof.SetGoroutineLabels(r.Context())
+	}
+	stopProf := s.watchProfile(st.traceID)
+	defer stopProf()
+	defer func() {
+		if p := recover(); p != nil {
+			s.dumpFlight(rec, st.traceID, "panic")
+			panic(p)
+		}
+	}()
+	pl, err = solve(st.trace, obs.Tag(st.traceID, obs.Multi(sinks...)))
+	// A solve that died on its budget gets an automatic post-mortem.
+	if err == nil && (pl.Stats.StopReason == ilp.StopDeadline || pl.Stats.StopReason == ilp.StopNodeLimit) {
+		s.dumpFlight(rec, st.traceID, pl.Stats.StopReason.String())
+	}
+	return pl, err
+}
+
+// pprofLabels labels the solving goroutine for CPU profiles: each
+// phase event sets trace_id and phase on top of the handler context's
+// labels, and worker goroutines spawned by the phase inherit them.
+type pprofLabels struct {
+	ctx context.Context
+}
+
+func (l pprofLabels) Event(e obs.Event) {
+	if e.Kind != obs.KindPhase {
+		return
+	}
+	pprof.SetGoroutineLabels(pprof.WithLabels(l.ctx,
+		pprof.Labels("trace_id", e.TraceID, "phase", e.Phase)))
 }
 
 // dumpFlight writes a recorder's ring to <FlightDir>/flight-<name>.jsonl.

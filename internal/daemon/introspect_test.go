@@ -9,11 +9,13 @@ import (
 	"os"
 	"path/filepath"
 	"strings"
+	"sync"
 	"testing"
 	"time"
 
 	"rulefit/internal/obs"
 	"rulefit/internal/obs/traceview"
+	"rulefit/internal/spec"
 )
 
 // TestSecRingBackwardClock pins the clamp: adds and reads for seconds
@@ -149,6 +151,44 @@ func TestSolvezDuringSolve(t *testing.T) {
 	}
 	// The registry empties once the request finishes.
 	waitFor(t, func() bool { return s.solves.snapshots() == nil })
+}
+
+// TestSessionSolvesReachSolvez: session creates and deltas feed their
+// progress cell like /v1/place does, so the request's last snapshot —
+// the one /debug/solvez shows just before the request leaves — reads
+// phase done, Done, with the solve's nodes, after both the initial
+// cold solve and a warm delta.
+func TestSessionSolvesReachSolvez(t *testing.T) {
+	s, base := startDaemon(t, Config{MaxInFlight: 1})
+	var mu sync.Mutex
+	last := map[string]obs.ProgressSnapshot{}
+	s.solves.mu.Lock()
+	s.solves.finished = func(snap obs.ProgressSnapshot) {
+		mu.Lock()
+		last[snap.TraceID] = snap
+		mu.Unlock()
+	}
+	s.solves.mu.Unlock()
+
+	specJSON := testSpec(t, 8)
+	sr, _ := createSession(t, base, specJSON)
+	code, body := doJSON(t, http.MethodPost, base+"/v1/session/"+sr.SessionID+"/delta",
+		DeltaRequest{Deltas: []spec.Delta{addRuleDelta(explicitSpec(t, specJSON), 9001)}})
+	if code != http.StatusOK {
+		t.Fatalf("delta status %d: %s", code, body)
+	}
+	dr, _ := decodeSession(t, body)
+	if dr.Path != "warm" {
+		t.Fatalf("delta path %q, want warm", dr.Path)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	for _, r := range []SessionResponse{sr, dr} {
+		snap, ok := last[r.TraceID]
+		if !ok || snap.Phase != "done" || !snap.Done || snap.Nodes <= 0 {
+			t.Errorf("%s (%s): last snapshot %+v, want phase done with nodes > 0", r.TraceID, r.Path, snap)
+		}
+	}
 }
 
 // TestFlightDumpOnDeadline is the post-mortem path end to end: a solve

@@ -3,15 +3,12 @@ package daemon
 import (
 	"bytes"
 	"encoding/json"
-	"errors"
 	"fmt"
-	"io"
 	"net/http"
 	"strings"
 	"time"
 
 	"rulefit/internal/core"
-	"rulefit/internal/ilp"
 	"rulefit/internal/obs"
 	"rulefit/internal/spec"
 	"rulefit/internal/state"
@@ -61,6 +58,13 @@ type sessionDeleteResponse struct {
 	Deleted   bool   `json:"deleted"`
 }
 
+// sessionAnswer is the create/delta reply for a solved session.
+func sessionAnswer(traceID, id string, res *state.Result) *SessionResponse {
+	return &SessionResponse{TraceID: traceID, SessionID: id, Version: res.Version,
+		Path: res.Path, Cache: res.CacheStats, Solutions: res.SolStats,
+		Placement: EncodePlacement(res.Placement)}
+}
+
 // recordSessionSolve folds one session answer into the metrics.
 func (s *Server) recordSessionSolve(res *state.Result) {
 	s.met.RecordEncodeCache("policy", res.CacheStats.PolicyHits, res.CacheStats.PolicyMisses)
@@ -77,59 +81,18 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 		http.Error(w, "POST only", http.StatusMethodNotAllowed)
 		return
 	}
-	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	traceID := obs.TraceIDFor(s.seq.Add(1), body)
-	st := requestState{traceID: traceID, op: "session_create", start: start}
-	if err != nil {
-		st.code, st.status = http.StatusBadRequest, "bad_request"
-		st.err = fmt.Errorf("reading body: %w", err)
-		s.finish(w, r, st)
-		return
-	}
-	release, ok := s.acquireSlot(r, &st)
+	body, st, prog, done, ok := s.admitSolve(w, r, "session_create")
 	if !ok {
 		s.finish(w, r, st)
 		return
 	}
-	defer release()
+	defer done()
 
 	parseStart := time.Now()
-	var req PlaceRequest
-	dec := json.NewDecoder(bytes.NewReader(body))
-	dec.DisallowUnknownFields()
-	if err := dec.Decode(&req); err != nil || len(req.Problem) == 0 {
-		if err == nil {
-			err = errors.New("missing problem")
-		}
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
+	desc, prob, opts, err := s.parsePlaceRequest(body)
+	if err == nil {
+		err = prob.Validate()
 	}
-	desc, err := spec.LoadBytes(req.Problem)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	prob, err := desc.Build()
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	if err := prob.Validate(); err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts, err := req.Options.build(s.cfg)
-	if err != nil {
-		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
-		s.finish(w, r, st)
-		return
-	}
-	opts.Monitors, err = desc.BuildMonitors()
 	if err != nil {
 		st.code, st.status, st.err = http.StatusBadRequest, "bad_request", err
 		s.finish(w, r, st)
@@ -142,52 +105,26 @@ func (s *Server) handleSessionCreate(w http.ResponseWriter, r *http.Request) {
 	explicit := spec.FromCore(prob)
 	explicit.Monitors = append([]spec.Monitor(nil), desc.Monitors...)
 	st.parse = time.Since(parseStart)
-	opts.Request = obs.NewRequestCtx(traceID)
-	st.trace = opts.Request.Trace
-	// ProfileLabels survives into the session's fixed opts (it is a
-	// plain bool, not a per-request pointer), so every future delta
-	// solve is label-attributable too. The sink and progress cell are
-	// per-request: they cover the initial cold solve only.
-	opts.ProfileLabels = s.cfg.ProfileThreshold > 0
-	prog := &obs.Progress{}
-	prog.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
-	s.solves.add(traceID, prog)
-	defer s.solves.remove(traceID)
-	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	opts.SolverSink = obs.Multi(rec, s.flight)
-	defer func() {
-		if p := recover(); p != nil {
-			s.dumpFlight(rec, traceID, "panic")
-			panic(p)
+	var sess *state.Session
+	var res *state.Result
+	_, err = s.observeSolve(r, &st, prog, func(tr *obs.Trace, sink obs.Sink) (*core.Placement, error) {
+		opts.Trace, opts.SolverSink = tr, sink
+		var err error
+		if sess, res, err = s.sessions.Create(explicit, opts); err != nil {
+			return nil, err
 		}
-	}()
-
-	sess, res, err := s.sessions.Create(explicit, opts)
+		return res.Placement, nil
+	})
 	if err != nil {
-		st.code, st.status, st.err = http.StatusInternalServerError, "error", err
-		if errors.Is(err, state.ErrBadDelta) {
-			st.code, st.status = http.StatusBadRequest, "bad_request"
-		}
+		solveFailed(&st, err)
 		s.finish(w, r, st)
 		return
-	}
-	if res.Placement.Stats.StopReason == ilp.StopDeadline ||
-		res.Placement.Stats.StopReason == ilp.StopNodeLimit {
-		s.dumpFlight(rec, traceID, res.Placement.Stats.StopReason.String())
 	}
 	s.met.Sessions().Set(int64(s.sessions.Len()))
 	s.recordSessionSolve(res)
 	st.code, st.status = http.StatusCreated, res.Placement.Status.String()
 	st.placement = res.Placement
-	st.body = &SessionResponse{
-		TraceID:   traceID,
-		SessionID: sess.ID(),
-		Version:   res.Version,
-		Path:      res.Path,
-		Cache:     res.CacheStats,
-		Solutions: res.SolStats,
-		Placement: EncodePlacement(res.Placement),
-	}
+	st.body = sessionAnswer(st.traceID, sess.ID(), res)
 	s.finish(w, r, st)
 }
 
@@ -226,22 +163,12 @@ func notFoundSession(st *requestState, err error) {
 
 // handleSessionDelta serves POST /v1/session/{id}/delta.
 func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request, id string) {
-	start := time.Now()
-	body, err := io.ReadAll(http.MaxBytesReader(w, r.Body, s.cfg.MaxBodyBytes))
-	traceID := obs.TraceIDFor(s.seq.Add(1), body)
-	st := requestState{traceID: traceID, op: "session_delta", start: start}
-	if err != nil {
-		st.code, st.status = http.StatusBadRequest, "bad_request"
-		st.err = fmt.Errorf("reading body: %w", err)
-		s.finish(w, r, st)
-		return
-	}
-	release, ok := s.acquireSlot(r, &st)
+	body, st, prog, done, ok := s.admitSolve(w, r, "session_delta")
 	if !ok {
 		s.finish(w, r, st)
 		return
 	}
-	defer release()
+	defer done()
 
 	parseStart := time.Now()
 	var req DeltaRequest
@@ -259,52 +186,24 @@ func (s *Server) handleSessionDelta(w http.ResponseWriter, r *http.Request, id s
 		s.finish(w, r, st)
 		return
 	}
-	reqCtx := obs.NewRequestCtx(traceID)
-	st.trace = reqCtx.Trace
-
-	// Delta solves get the same post-mortem coverage as /v1/place: a
-	// per-delta flight ring plus the global ring, dumped if the re-solve
-	// dies on its budget or panics. Progress cells stay per-request
-	// (stripped from session opts), so /debug/solvez shows the delta as
-	// "admitted" for its whole stay.
-	prog := &obs.Progress{}
-	prog.Publish(obs.ProgressSnapshot{TraceID: traceID, Phase: "admitted", Gap: -1})
-	s.solves.add(traceID, prog)
-	defer s.solves.remove(traceID)
-	rec := obs.NewFlightRecorder(obs.FlightOpts{Size: s.cfg.FlightEvents})
-	defer func() {
-		if p := recover(); p != nil {
-			s.dumpFlight(rec, traceID, "panic")
-			panic(p)
+	var res *state.Result
+	_, err = s.observeSolve(r, &st, prog, func(tr *obs.Trace, sink obs.Sink) (*core.Placement, error) {
+		var err error
+		if res, err = sess.Delta(req.Deltas, tr, sink); err != nil {
+			return nil, err
 		}
-	}()
-
-	res, err := sess.Delta(req.Deltas, reqCtx, obs.Multi(rec, s.flight))
+		return res.Placement, nil
+	})
 	if err != nil {
-		st.code, st.status, st.err = http.StatusInternalServerError, "error", err
-		if errors.Is(err, state.ErrBadDelta) {
-			st.code, st.status = http.StatusBadRequest, "bad_request"
-		}
+		solveFailed(&st, err)
 		s.finish(w, r, st)
 		return
-	}
-	if res.Placement.Stats.StopReason == ilp.StopDeadline ||
-		res.Placement.Stats.StopReason == ilp.StopNodeLimit {
-		s.dumpFlight(rec, traceID, res.Placement.Stats.StopReason.String())
 	}
 	s.met.RecordDelta(res.Path)
 	s.recordSessionSolve(res)
 	st.code, st.status = http.StatusOK, res.Placement.Status.String()
 	st.placement = res.Placement
-	st.body = &SessionResponse{
-		TraceID:   traceID,
-		SessionID: sess.ID(),
-		Version:   res.Version,
-		Path:      res.Path,
-		Cache:     res.CacheStats,
-		Solutions: res.SolStats,
-		Placement: EncodePlacement(res.Placement),
-	}
+	st.body = sessionAnswer(st.traceID, sess.ID(), res)
 	s.finish(w, r, st)
 }
 
@@ -322,7 +221,7 @@ func (s *Server) handleSessionGet(w http.ResponseWriter, r *http.Request, id str
 	version, pl, _ := sess.Snapshot()
 	st.code, st.status = http.StatusOK, pl.Status.String()
 	st.body = &SessionResponse{
-		TraceID:   traceID,
+		TraceID:   st.traceID,
 		SessionID: sess.ID(),
 		Version:   version,
 		Cache:     sess.CacheStats(),

@@ -273,12 +273,14 @@ func TestSessionNotFound(t *testing.T) {
 // at one session: they serialize into distinct monotone versions and
 // a final placement identical to a cold solve of all deltas applied.
 func TestSessionConcurrentDeltas(t *testing.T) {
+	const n = 5
 	specJSON := testSpec(t, 6)
-	_, base := startDaemon(t, Config{MaxInFlight: 4})
+	// One solve slot per delta: all n contend on the session lock at
+	// once, and none can be shed by admission (MaxQueue is 0).
+	_, base := startDaemon(t, Config{MaxInFlight: n})
 	explicit := explicitSpec(t, specJSON)
 	sr, _ := createSession(t, base, specJSON)
 
-	const n = 5
 	versions := make([]uint64, n)
 	var wg sync.WaitGroup
 	for i := 0; i < n; i++ {

@@ -10,10 +10,11 @@ import (
 )
 
 // TestSolveIntrospectionDoesNotPerturb pins the flight-recorder
-// invariant at the solver layer: attaching the full introspection stack
-// (flight ring, live progress cell, pprof labels, trace ID) returns the
-// same status, objective, solution vector, and search effort as a bare
-// solve — for every worker count. Exact comparison is intentional.
+// invariant at the solver layer: attaching the solver-level consumers
+// of the event stream (flight ring, live progress cell, trace-ID tag)
+// returns the same status, objective, solution vector, and search
+// effort as a bare solve — for every worker count. Exact comparison is
+// intentional.
 func TestSolveIntrospectionDoesNotPerturb(t *testing.T) {
 	for _, w := range []int{1, 2, 8} {
 		bare, err := Solve(parallelFixture(7, 16), Options{TimeLimit: 60 * time.Second, Workers: w})
@@ -24,7 +25,7 @@ func TestSolveIntrospectionDoesNotPerturb(t *testing.T) {
 		var prog obs.Progress
 		inst, err := Solve(parallelFixture(7, 16), Options{
 			TimeLimit: 60 * time.Second, Workers: w,
-			Sink: rec, Progress: &prog, ProfileLabels: true, TraceID: "req-000042",
+			Sink: obs.Tag("req-000042", obs.Multi(rec, &prog)),
 		})
 		if err != nil {
 			t.Fatalf("workers=%d instrumented: %v", w, err)
@@ -71,11 +72,13 @@ func TestSolveFlightRecorderMatchesFullTrace(t *testing.T) {
 }
 
 // TestSolveProgressFinalSnapshot checks the live-progress contract: the
-// last published snapshot is the done snapshot and agrees with Stats.
+// last snapshot folded from a solve's stream is its done snapshot and
+// agrees with Stats. A lone solve does not finish a request — only the
+// request owner's closing phase event sets Done.
 func TestSolveProgressFinalSnapshot(t *testing.T) {
 	var prog obs.Progress
 	sol, err := Solve(parallelFixture(7, 16), Options{
-		TimeLimit: 60 * time.Second, Workers: 2, Progress: &prog, TraceID: "req-000007",
+		TimeLimit: 60 * time.Second, Workers: 2, Sink: obs.Tag("req-000007", &prog),
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -84,17 +87,14 @@ func TestSolveProgressFinalSnapshot(t *testing.T) {
 	if !ok {
 		t.Fatal("no progress snapshot published")
 	}
-	if !s.Done || s.Phase != "done" {
-		t.Fatalf("final snapshot not done: %+v", s)
+	if s.Phase != "done" || s.Done {
+		t.Fatalf("final snapshot = %+v, want phase done without the request's Done", s)
 	}
 	if s.TraceID != "req-000007" {
 		t.Fatalf("snapshot trace ID %q", s.TraceID)
 	}
 	if s.Nodes != sol.Stats.Nodes {
 		t.Fatalf("snapshot nodes %d, Stats.Nodes %d", s.Nodes, sol.Stats.Nodes)
-	}
-	if s.Workers != 2 {
-		t.Fatalf("snapshot workers %d", s.Workers)
 	}
 	if sol.Status == Optimal {
 		if !s.HaveIncumbent || s.Incumbent != sol.Objective {
@@ -115,7 +115,7 @@ func TestSolveProgressInfeasible(t *testing.T) {
 	m.AddConstraint([]Term{{a, 1}, {b, 1}}, GE, 2, "both")
 	m.AddConstraint([]Term{{a, 1}, {b, 1}}, LE, 1, "atmost1")
 	var prog obs.Progress
-	sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Progress: &prog})
+	sol, err := Solve(m, Options{TimeLimit: 60 * time.Second, Sink: &prog})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -123,7 +123,7 @@ func TestSolveProgressInfeasible(t *testing.T) {
 		t.Fatalf("status %v", sol.Status)
 	}
 	s, ok := prog.Snapshot()
-	if !ok || !s.Done {
+	if !ok || s.Phase != "done" {
 		t.Fatalf("no terminal snapshot for infeasible solve: %+v", s)
 	}
 	if s.HaveIncumbent || s.Gap != -1 {
@@ -169,10 +169,10 @@ func TestSolveSearchProfileStats(t *testing.T) {
 }
 
 // TestDisabledIntrospectionOverheadSmoke extends the nil-sink gate to
-// the whole introspection stack: a solve with recorder, progress, and
-// labels all off must not be grossly slower than one with them on —
-// i.e. the off path really is just branches. Same wide 1.5x margin as
-// TestDisabledSinkOverheadSmoke to absorb CI noise.
+// the solver-level introspection consumers: a solve with recorder and
+// progress cell both off must not be grossly slower than one with them
+// on — i.e. the off path really is just branches. Same wide 1.5x
+// margin as TestDisabledSinkOverheadSmoke to absorb CI noise.
 func TestDisabledIntrospectionOverheadSmoke(t *testing.T) {
 	if testing.Short() {
 		t.Skip("timing comparison; skipped in -short")
@@ -195,9 +195,8 @@ func TestDisabledIntrospectionOverheadSmoke(t *testing.T) {
 		return Options{TimeLimit: 60 * time.Second, Workers: 1}
 	})
 	on := median(func() Options {
-		var prog obs.Progress
 		return Options{TimeLimit: 60 * time.Second, Workers: 1,
-			Sink: obs.NewFlightRecorder(obs.FlightOpts{Size: 4096}), Progress: &prog, ProfileLabels: true}
+			Sink: obs.Multi(obs.NewFlightRecorder(obs.FlightOpts{Size: 4096}), &obs.Progress{})}
 	})
 	if off > on*3/2 {
 		t.Fatalf("introspection-off median %v exceeds 1.5x the introspection-on median %v", off, on)

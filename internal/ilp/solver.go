@@ -1,11 +1,9 @@
 package ilp
 
 import (
-	"context"
 	"fmt"
 	"math"
 	"runtime"
-	"runtime/pprof"
 	"sort"
 	"sync"
 	"sync/atomic"
@@ -38,34 +36,14 @@ type Options struct {
 	// item, and round results are merged in a deterministic order — so
 	// Workers=1 and Workers=8 return byte-identical results.
 	Workers int
-	// Sink receives structured solver events (nil disables tracing; the
-	// disabled path costs one branch per emission site). Events are
-	// emitted only from the solver's sequential sections and nothing is
-	// ever read back from the sink, so the search — and the returned
-	// solution — is byte-identical with tracing on or off and the event
-	// sequence is identical (modulo Event.TimeMS) for any worker count.
+	// Sink receives the solver's event stream, its only observation
+	// channel (nil disables it at one branch per emission site); phase
+	// events let consumers derive spans, progress and profiler labels
+	// (see obs.KindPhase). Events are emitted only from sequential
+	// sections and nothing is read back, so the solution is
+	// byte-identical with any consumer on or off and the sequence is
+	// identical (modulo Event.TimeMS) for any worker count.
 	Sink obs.Sink
-	// TraceID, when non-empty, is stamped on every event emitted to
-	// Sink (Event.TraceID), joining the solve's event stream to the
-	// request that triggered it. Purely observational: it never feeds
-	// back into the search.
-	TraceID string
-	// Span, when non-nil, is the parent under which the solver opens
-	// presolve / root_lp / search timing child spans.
-	Span *obs.Span
-	// Progress, when non-nil, receives atomically-published live
-	// snapshots (phase, incumbent, best bound, gap, nodes, elapsed) from
-	// the solver's sequential sections — the daemon's /debug/solvez
-	// feed. Like Sink, nothing is ever read back: the search and the
-	// returned solution are byte-identical with or without it, and a nil
-	// Progress costs one branch per publish site.
-	Progress *obs.Progress
-	// ProfileLabels, when set, applies runtime/pprof goroutine labels
-	// (trace_id, phase) around the solve phases, so CPU profiles of a
-	// busy daemon attribute samples to requests and phases. Worker
-	// goroutines inherit the labels. Off by default: label swaps
-	// allocate, and unprofiled paths should not pay for them.
-	ProfileLabels bool
 }
 
 // Solve minimizes the model. The returned solution's Values are rounded
@@ -98,9 +76,6 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 	if err := m.Validate(); err != nil {
 		return Solution{}, err
 	}
-	// Request-scoped tracing: stamp the trace ID on every emitted event.
-	// Tag returns nil for a nil sink, so the disabled fast path holds.
-	opts.Sink = obs.Tag(opts.TraceID, opts.Sink)
 	var deadline time.Time
 	if opts.TimeLimit > 0 {
 		deadline = start.Add(opts.TimeLimit)
@@ -116,37 +91,19 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 	if workers <= 0 {
 		workers = runtime.GOMAXPROCS(0)
 	}
-	if opts.ProfileLabels {
-		// Restore the goroutine's label set on exit so a request
-		// handler's labels don't leak past its solve.
-		defer pprof.SetGoroutineLabels(context.Background())
-	}
 	stats := Stats{Workers: workers, Gap: -1, RootGap: -1}
 	work := m
 	if !opts.DisablePresolve {
-		solvePhaseLabels(opts.ProfileLabels, opts.TraceID, "presolve")
-		if opts.Progress != nil {
-			opts.Progress.Publish(obs.ProgressSnapshot{TraceID: opts.TraceID,
-				Phase: "presolve", Gap: -1, Workers: workers,
-				ElapsedMS: msSince(start)}) //lint:detsource timing telemetry, never read back into the search
-		}
-		pre := opts.Span.Child("presolve")
-		res := presolve(m, lo, hi, &stats)
-		pre.SetCount("fixes", int64(stats.PresolveFix))
-		pre.End()
 		if opts.Sink != nil {
-			opts.Sink.Event(obs.Event{Kind: obs.KindPresolve, Fixes: stats.PresolveFix,
+			opts.Sink.Event(obs.Event{Kind: obs.KindPhase, Phase: "presolve",
 				BranchVar: -1, Gap: -1, TimeMS: msSince(start)})
 		}
+		res := presolve(m, lo, hi, &stats)
 		if res == presolveInfeasible {
 			if opts.Sink != nil {
 				opts.Sink.Event(obs.Event{Kind: obs.KindDone, Outcome: Infeasible.String(),
-					Reason: StopNone.String(), BranchVar: -1, Gap: -1, TimeMS: msSince(start)})
-			}
-			if opts.Progress != nil {
-				opts.Progress.Publish(obs.ProgressSnapshot{TraceID: opts.TraceID,
-					Phase: "done", Gap: -1, Workers: workers, Done: true,
-					ElapsedMS: msSince(start)}) //lint:detsource timing telemetry, never read back into the search
+					Reason: StopNone.String(), Fixes: stats.PresolveFix, BranchVar: -1, Gap: -1,
+					TimeMS: msSince(start)})
 			}
 			return Solution{Status: Infeasible, Stats: stats}, nil
 		}
@@ -173,11 +130,7 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 		presolveOff: opts.DisablePresolve,
 		workers:     workers,
 		sink:        opts.Sink,
-		span:        opts.Span,
 		start:       start,
-		progress:    opts.Progress,
-		traceID:     opts.TraceID,
-		labels:      opts.ProfileLabels,
 		lostBound:   math.Inf(1),
 	}
 	sol, err := bb.run(lo, hi)
@@ -191,19 +144,6 @@ func solve(m *Model, opts Options, start time.Time) (Solution, error) {
 // never read back into the search.
 func msSince(start time.Time) float64 {
 	return float64(time.Since(start).Microseconds()) / 1e3
-}
-
-// solvePhaseLabels applies pprof goroutine labels (trace_id, phase) for
-// one solve phase when enabled; worker goroutines spawned during the
-// phase inherit them, so profile samples from parallel node LPs
-// attribute to the owning solve. Purely observational — labels are
-// profiler metadata and never influence the search.
-func solvePhaseLabels(enabled bool, traceID, phase string) {
-	if !enabled {
-		return
-	}
-	pprof.SetGoroutineLabels(pprof.WithLabels(context.Background(),
-		pprof.Labels("trace_id", traceID, "phase", phase)))
 }
 
 type presolveResult int
@@ -364,20 +304,15 @@ type bnb struct {
 	stats    Stats
 	workers  int
 
-	// sink/span/start feed the observability layer. All emission happens
-	// in the sequential sections (run and the merge loop), and nothing is
-	// read back, so they cannot perturb the search. progress/traceID/
-	// labels extend the same contract to live snapshots and pprof labels.
-	sink     obs.Sink
-	span     *obs.Span
-	start    time.Time
-	progress *obs.Progress
-	traceID  string
-	labels   bool
+	// sink/start feed the observability layer. All emission happens in
+	// the sequential sections (run and the merge loop), and nothing is
+	// read back, so they cannot perturb the search.
+	sink  obs.Sink
+	start time.Time
 
 	// rootBound is the root relaxation bound after the cut loop (ceiled
 	// when the objective is integral); haveRoot marks it valid. Feeds
-	// Stats.RootGap and progress snapshots before the first incumbent.
+	// Stats.RootGap and the search phase event's BestBound.
 	rootBound float64
 	haveRoot  bool
 
@@ -476,16 +411,14 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 			break
 		}
 	}
-	b.enterPhase("root_lp")
-	rootSp := b.span.Child("root_lp")
+	if b.sink != nil {
+		b.phase("root_lp")
+	}
 	s := newLPSolver(m, lo, hi, nil)
 	s.deadline = b.deadline
 	s.fullPricing = b.fullPricing
 	s.initBasis()
 	st, err := s.solveLP()
-	rootSp.SetCount("iters", int64(s.iters))
-	rootSp.SetCount("refactors", int64(s.refactors))
-	rootSp.End()
 	if err != nil {
 		return Solution{}, err
 	}
@@ -502,12 +435,11 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 	}
 
 	if !b.disableCuts {
-		b.enterPhase("cuts")
-		cutSp := b.span.Child("cuts")
+		if b.sink != nil {
+			b.phase("cuts")
+		}
 		var cst lpStatus
 		s, cst, err = b.rootCutLoop(s, lo, hi)
-		cutSp.SetCount("cuts", int64(b.stats.CutsAdded))
-		cutSp.End()
 		if err != nil {
 			return Solution{}, err
 		}
@@ -568,12 +500,10 @@ func (b *bnb) run(lo, hi []float64) (Solution, error) {
 				Bound: rootBound, BranchVar: frac, Frac: math.Min(f, 1-f), Gap: -1})
 		}
 		b.deque = b.makeChildren(root, &rootRes, frac)
-		b.enterPhase("search")
-		searchSp := b.span.Child("search")
-		err := b.search(s)
-		searchSp.SetCount("nodes", int64(b.stats.Nodes))
-		searchSp.End()
-		if err != nil {
+		if b.sink != nil {
+			b.phase("search")
+		}
+		if err := b.search(s); err != nil {
 			return Solution{}, err
 		}
 	} else {
@@ -612,40 +542,19 @@ func (b *bnb) emit(e obs.Event) {
 	b.sink.Event(e)
 }
 
-// enterPhase marks a solve-phase transition for the introspection
-// layer: pprof labels when profiling is enabled, and a progress
-// snapshot when one is attached. Called only from sequential sections;
-// costs two branches when introspection is off.
-func (b *bnb) enterPhase(phase string) {
-	solvePhaseLabels(b.labels, b.traceID, phase)
-	if b.progress != nil {
-		b.publishProgress(phase)
+// phase emits the event opening a solve phase, carrying the running
+// effort totals (see obs.KindPhase). Callers guard with b.sink != nil
+// and call it before the phase's work starts, from sequential sections
+// only, so worker goroutines spawned by the phase inherit whatever a
+// consumer did on this goroutine.
+func (b *bnb) phase(name string) {
+	e := obs.Event{Kind: obs.KindPhase, Phase: name, Node: b.stats.Nodes,
+		Fixes: b.stats.PresolveFix, Iters: b.stats.SimplexIters,
+		Refactors: b.stats.LURefactors, Cuts: b.stats.CutsAdded, BranchVar: -1, Gap: -1}
+	if b.haveRoot {
+		e.BestBound = b.rootBound
 	}
-}
-
-// publishProgress posts one live snapshot. Callers guard with
-// b.progress != nil (the snapshot assembly walks the open deque, which
-// the disabled path must not pay for). Sequential sections only, so
-// every field read here is stable.
-func (b *bnb) publishProgress(phase string) {
-	s := obs.ProgressSnapshot{TraceID: b.traceID, Phase: phase,
-		Nodes: b.stats.Nodes, Incumbents: b.stats.Incumbents,
-		Workers: b.workers, Gap: -1,
-		ElapsedMS: msSince(b.start)} //lint:detsource timing telemetry, never read back into the search
-	bb := b.openBound()
-	if b.haveInc {
-		if bb > b.incumbentObj {
-			bb = b.incumbentObj
-		}
-		s.Incumbent, s.HaveIncumbent = b.incumbentObj, true
-		s.BestBound = bb
-		s.Gap = (b.incumbentObj - bb) / math.Max(math.Abs(b.incumbentObj), 1e-9)
-	} else if !math.IsInf(bb, 0) {
-		s.BestBound = bb
-	} else if b.haveRoot {
-		s.BestBound = b.rootBound
-	}
-	b.progress.Publish(s)
+	b.emit(e)
 }
 
 // stopReason derives the stop reason from the limit flags, in
@@ -696,13 +605,9 @@ func (b *bnb) noSolution(status Status) (Solution, error) {
 	b.stats.Gap = -1
 	if b.sink != nil {
 		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.Nodes, Outcome: status.String(),
-			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters,
-			BranchVar: -1, Gap: -1})
-	}
-	if b.progress != nil {
-		b.progress.Publish(obs.ProgressSnapshot{TraceID: b.traceID, Phase: "done",
-			Nodes: b.stats.Nodes, Workers: b.workers, Gap: -1, Done: true,
-			ElapsedMS: msSince(b.start)}) //lint:detsource timing telemetry, never read back into the search
+			Reason: b.stats.StopReason.String(), Fixes: b.stats.PresolveFix,
+			Iters: b.stats.SimplexIters, Refactors: b.stats.LURefactors,
+			Cuts: b.stats.CutsAdded, BranchVar: -1, Gap: -1})
 	}
 	return Solution{Status: status, Stats: b.stats}, nil
 }
@@ -795,14 +700,9 @@ func (b *bnb) search(s *lpSolver) error {
 			return nil
 		}
 		// Poll the wall clock every ~deadlineEveryNodes nodes and after
-		// rounds that improved the incumbent, not per node. Progress
-		// snapshots share the cadence: bounded publish cost, and the
-		// wall clock is being read anyway.
+		// rounds that improved the incumbent, not per node.
 		if sinceDeadline >= deadlineEveryNodes || improved {
 			sinceDeadline = 0
-			if b.progress != nil {
-				b.publishProgress("search")
-			}
 			if b.deadlineExpired() {
 				b.hitDeadline = true
 				return nil
@@ -1315,15 +1215,10 @@ func (b *bnb) finish(x []float64, obj float64, proven bool) (Solution, error) {
 	}
 	if b.sink != nil {
 		b.emit(obs.Event{Kind: obs.KindDone, Node: b.stats.Nodes, Outcome: status.String(),
-			Reason: b.stats.StopReason.String(), Iters: b.stats.SimplexIters, BranchVar: -1,
+			Reason: b.stats.StopReason.String(), Fixes: b.stats.PresolveFix,
+			Iters: b.stats.SimplexIters, Refactors: b.stats.LURefactors,
+			Cuts: b.stats.CutsAdded, BranchVar: -1,
 			Incumbent: obj, BestBound: b.stats.BestBound, Gap: b.stats.Gap})
-	}
-	if b.progress != nil {
-		b.progress.Publish(obs.ProgressSnapshot{TraceID: b.traceID, Phase: "done",
-			Nodes: b.stats.Nodes, Incumbent: obj, HaveIncumbent: true,
-			BestBound: b.stats.BestBound, Gap: b.stats.Gap,
-			Incumbents: b.stats.Incumbents, Workers: b.workers, Done: true,
-			ElapsedMS: msSince(b.start)}) //lint:detsource timing telemetry, never read back into the search
 	}
 	return Solution{Status: status, Objective: obj, Values: vals, Stats: b.stats}, nil
 }

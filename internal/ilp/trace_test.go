@@ -27,9 +27,9 @@ func traceOf(t *testing.T, m *Model, workers int) (Solution, []obs.Event) {
 
 // TestTraceDeterministic asserts the tracing half of the determinism
 // contract: the same model traced twice yields identical event
-// sequences modulo timing fields, and Workers=1 vs Workers=4 yield the
-// same sequence too (events are emitted only from the sequential merge
-// loop).
+// sequences modulo timing fields, and Workers ∈ {2, 8} yield the same
+// sequence too, phase events included (events are emitted only from
+// the solver's sequential sections).
 func TestTraceDeterministic(t *testing.T) {
 	_, base := traceOf(t, parallelFixture(5, 16), 1)
 	if len(base) == 0 {
@@ -39,9 +39,53 @@ func TestTraceDeterministic(t *testing.T) {
 	if !reflect.DeepEqual(base, again) {
 		t.Fatalf("same model traced twice differs:\n%v\nvs\n%v", base, again)
 	}
-	_, par := traceOf(t, parallelFixture(5, 16), 4)
-	if !reflect.DeepEqual(base, par) {
-		t.Fatalf("workers=1 vs workers=4 traces differ:\n%v\nvs\n%v", base, par)
+	// The second fixture branches, so its stream has a search phase.
+	for _, seed := range []int64{5, 7} {
+		n := 16 + int(seed-5)
+		_, one := traceOf(t, parallelFixture(seed, n), 1)
+		for _, w := range []int{2, 8} {
+			_, par := traceOf(t, parallelFixture(seed, n), w)
+			if !reflect.DeepEqual(one, par) {
+				t.Fatalf("fixture %d: workers=1 vs workers=%d traces differ:\n%v\nvs\n%v", seed, w, one, par)
+			}
+		}
+	}
+}
+
+// TestPhaseEvents pins the phase events of a branching solve: presolve,
+// root_lp, cuts and search open in that order, each carrying the
+// running totals at its transition, and the done event closes the
+// stream with totals that match Stats.
+func TestPhaseEvents(t *testing.T) {
+	sol, events := traceOf(t, parallelFixture(7, 18), 2)
+	var phases []obs.Event
+	for _, e := range events {
+		if e.Kind == obs.KindPhase {
+			phases = append(phases, e)
+		}
+	}
+	var names []string
+	for _, e := range phases {
+		names = append(names, e.Phase)
+	}
+	if want := []string{"presolve", "root_lp", "cuts", "search"}; !reflect.DeepEqual(names, want) {
+		t.Fatalf("phases %v, want %v", names, want)
+	}
+	if phases[0].Iters != 0 || phases[1].Fixes != sol.Stats.PresolveFix {
+		t.Errorf("presolve/root_lp totals %+v / %+v", phases[0], phases[1])
+	}
+	if it := phases[2].Iters; it <= 0 || it > sol.Stats.SimplexIters || phases[2].Refactors <= 0 {
+		t.Errorf("cuts phase carries root LP effort %d iters / %d refactors; solve total %d iters",
+			it, phases[2].Refactors, sol.Stats.SimplexIters)
+	}
+	if phases[3].Node != 1 || phases[3].Cuts != sol.Stats.CutsAdded {
+		t.Errorf("search phase %+v, want node 1 and %d cuts", phases[3], sol.Stats.CutsAdded)
+	}
+	done := events[len(events)-1]
+	if done.Kind != obs.KindDone || done.Node != sol.Stats.Nodes || done.Iters != sol.Stats.SimplexIters ||
+		done.Refactors != sol.Stats.LURefactors || done.Fixes != sol.Stats.PresolveFix ||
+		done.Cuts != sol.Stats.CutsAdded {
+		t.Errorf("done event %+v disagrees with stats %+v", done, sol.Stats)
 	}
 }
 

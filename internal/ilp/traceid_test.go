@@ -9,15 +9,15 @@ import (
 )
 
 // TestTraceIDStampsEveryEvent asserts the request-scoping contract at
-// the solver layer: Options.TraceID appears on every emitted event, and
-// stamping changes nothing else — neither the solution nor any other
-// event field.
+// the solver layer: a sink wrapped in obs.Tag sees the trace ID on
+// every emitted event, phase events included, and stamping changes
+// nothing else — neither the solution nor any other event field.
 func TestTraceIDStampsEveryEvent(t *testing.T) {
 	const id = "req-000042-00000000deadbeef"
 	solve := func(traceID string) (Solution, []obs.Event) {
 		var rec obs.Recorder
 		sol, err := Solve(parallelFixture(5, 16), Options{
-			TimeLimit: 60 * time.Second, Workers: 2, Sink: &rec, TraceID: traceID,
+			TimeLimit: 60 * time.Second, Workers: 2, Sink: obs.Tag(traceID, &rec),
 		})
 		if err != nil {
 			t.Fatal(err)
@@ -47,16 +47,16 @@ func TestTraceIDStampsEveryEvent(t *testing.T) {
 	}
 }
 
-// TestTraceIDWithoutSinkKeepsFastPath asserts a TraceID alone does not
-// enable event emission: with a nil sink the solve stays on the
-// disabled-sink fast path and still succeeds.
+// TestTraceIDWithoutSinkKeepsFastPath asserts a trace ID alone does not
+// enable event emission: tagging a nil sink yields a nil sink, so the
+// solve stays on the disabled-sink fast path and still succeeds.
 func TestTraceIDWithoutSinkKeepsFastPath(t *testing.T) {
 	plain, err := Solve(parallelFixture(3, 12), Options{TimeLimit: 60 * time.Second, Workers: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
 	tagged, err := Solve(parallelFixture(3, 12), Options{
-		TimeLimit: 60 * time.Second, Workers: 1, TraceID: "req-000001-0123456789abcdef",
+		TimeLimit: 60 * time.Second, Workers: 1, Sink: obs.Tag("req-000001-0123456789abcdef", nil),
 	})
 	if err != nil {
 		t.Fatal(err)

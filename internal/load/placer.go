@@ -205,7 +205,8 @@ func (p *inprocPlacer) Place(_ context.Context, item WorkItem) Result {
 		res.Code, res.Status, res.Err = http.StatusBadRequest, "bad_request", err.Error()
 		return finish(res)
 	}
-	opts.Request = obs.NewRequestCtx(traceID)
+	opts.Trace = obs.NewTrace()
+	opts.Trace.SetID(traceID)
 	pl, err := core.Place(prob, opts)
 	if err != nil {
 		res.Code, res.Status, res.Err = http.StatusInternalServerError, "error", err.Error()
@@ -219,7 +220,7 @@ func (p *inprocPlacer) Place(_ context.Context, item WorkItem) Result {
 	res.Code, res.Status = http.StatusOK, pl.Status.String()
 	res.PlacementJSON = placement
 	res.PlacementHash = hashPlacement(placement)
-	for _, root := range opts.Request.Trace.Roots() {
+	for _, root := range opts.Trace.Roots() {
 		if root.Name() != "place" {
 			continue
 		}

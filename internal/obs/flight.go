@@ -10,10 +10,11 @@ import (
 // a fixed-size ring — the solver's black box. Unlike the JSONL trace
 // (which must be enabled before a run and records everything), the
 // recorder is cheap enough to leave attached in production: recording
-// one event is a TryLock, a struct copy into a preallocated slot, and
-// two counter bumps. When the lock is contended — a Dump in progress,
-// or concurrent solves sharing one recorder — the event is dropped
-// rather than waited for, and the drop is counted. The recorder
+// one event is a TryLock, a struct copy into the ring (which grows by
+// append up to its Size, so a short solve's per-request ring stays
+// small), and two counter bumps. When the lock is contended — a Dump
+// in progress, or concurrent solves sharing one recorder — the event is
+// dropped rather than waited for, and the drop is counted. The recorder
 // therefore degrades (loses events) under pressure instead of adding
 // latency, which is the right trade for a diagnostic tail buffer.
 //
@@ -26,6 +27,10 @@ type FlightRecorder struct {
 	next int    // ring index of the next write
 	wrap bool   // ring has wrapped at least once
 	hot  uint64 // node/skip events seen, for SampleHot decimation
+	// phase is the last solver phase a KindPhase event opened (not the
+	// request owner's closing "done"): the ring's tail may long have
+	// overwritten that event itself.
+	phase string
 
 	opts FlightOpts
 
@@ -63,7 +68,7 @@ func (o FlightOpts) defaults() FlightOpts {
 // NewFlightRecorder returns a recorder with the given ring size.
 func NewFlightRecorder(opts FlightOpts) *FlightRecorder {
 	opts = opts.defaults()
-	return &FlightRecorder{ring: make([]Event, opts.Size), opts: opts}
+	return &FlightRecorder{opts: opts}
 }
 
 // Event records one event, or drops it if the ring is contended.
@@ -81,9 +86,16 @@ func (r *FlightRecorder) Event(e Event) {
 			return
 		}
 	}
-	r.ring[r.next] = e
+	if e.Kind == KindPhase && e.Phase != "done" {
+		r.phase = e.Phase //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
+	}
+	if r.wrap {
+		r.ring[r.next] = e
+	} else {
+		r.ring = append(r.ring, e) //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
+	}
 	r.next++ //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
-	if r.next == len(r.ring) {
+	if r.next == r.opts.Size {
 		r.next = 0 //lint:sharedmut r.mu is held: the TryLock above succeeded or we returned
 		r.wrap = true
 	}
@@ -104,6 +116,8 @@ type FlightDump struct {
 	Dropped uint64
 	// Sampled counts hot events decimated by FlightOpts.SampleHot.
 	Sampled uint64
+	// Phase is the last solver phase the recorder saw open.
+	Phase string
 }
 
 // Dump snapshots the ring. It takes the lock (blocking), so concurrent
@@ -115,6 +129,7 @@ func (r *FlightRecorder) Dump() FlightDump {
 		Seen:    r.seen.Load(),
 		Dropped: r.dropped.Load(),
 		Sampled: r.sampled.Load(),
+		Phase:   r.phase,
 	}
 	if r.wrap {
 		d.Events = make([]Event, 0, len(r.ring))
@@ -136,7 +151,7 @@ func (r *FlightRecorder) Dump() FlightDump {
 func (d FlightDump) WriteJSONL(w io.Writer) error {
 	jw := NewJSONLWriter(w)
 	jw.Event(Event{Kind: KindFlightMeta, Node: len(d.Events),
-		Seen: int(d.Seen), Dropped: int(d.Dropped), Sampled: int(d.Sampled),
+		Seen: int(d.Seen), Dropped: int(d.Dropped), Sampled: int(d.Sampled), Phase: d.Phase,
 		BranchVar: -1, Gap: -1})
 	for _, e := range d.Events {
 		jw.Event(e)

@@ -136,8 +136,9 @@ func TestFlightRingDumpWhileRecording(t *testing.T) {
 
 func TestFlightDumpWriteJSONL(t *testing.T) {
 	r := NewFlightRecorder(FlightOpts{Size: 4})
-	for i := 1; i <= 6; i++ {
-		r.Event(Event{Kind: KindNode, Node: i, Gap: -1, BranchVar: -1})
+	r.Event(Event{Kind: KindPhase, Phase: "search", Gap: -1, BranchVar: -1})
+	for i := 1; i <= 5; i++ {
+		r.Event(Event{Kind: KindNode, Node: i + 1, Gap: -1, BranchVar: -1})
 	}
 	var buf bytes.Buffer
 	if err := r.Dump().WriteJSONL(&buf); err != nil {
@@ -154,8 +155,9 @@ func TestFlightDumpWriteJSONL(t *testing.T) {
 	if meta.Kind != KindFlightMeta {
 		t.Fatalf("first line kind %q, want %q", meta.Kind, KindFlightMeta)
 	}
-	if meta.Node != 4 || meta.Seen != 6 {
-		t.Fatalf("meta retained=%d seen=%d, want 4/6", meta.Node, meta.Seen)
+	if meta.Node != 4 || meta.Seen != 6 || meta.Phase != "search" {
+		t.Fatalf("meta retained=%d seen=%d phase=%q, want 4/6 and the overwritten search phase",
+			meta.Node, meta.Seen, meta.Phase)
 	}
 	for i, e := range got[1:] {
 		if want := 3 + i; e.Node != want {
@@ -166,8 +168,8 @@ func TestFlightDumpWriteJSONL(t *testing.T) {
 
 func TestFlightOptsDefaults(t *testing.T) {
 	r := NewFlightRecorder(FlightOpts{Size: -1, SampleHot: 0}) //lint:optzero defaults under test
-	if len(r.ring) != 4096 {
-		t.Fatalf("default ring size %d, want 4096", len(r.ring))
+	if r.opts.Size != 4096 {
+		t.Fatalf("default ring size %d, want 4096", r.opts.Size)
 	}
 	if r.opts.SampleHot != 1 {
 		t.Fatalf("default SampleHot %d, want 1", r.opts.SampleHot)
@@ -177,6 +179,7 @@ func TestFlightOptsDefaults(t *testing.T) {
 func TestProgressNilSafe(t *testing.T) {
 	var p *Progress
 	p.Publish(ProgressSnapshot{Phase: "search"}) // must not panic
+	p.Event(Event{Kind: KindPhase, Phase: "search"})
 	if s, ok := p.Snapshot(); ok || s != (ProgressSnapshot{}) {
 		t.Fatalf("nil Progress returned a snapshot: %+v", s)
 	}
@@ -198,9 +201,55 @@ func TestProgressPublishSnapshot(t *testing.T) {
 	}
 }
 
-// TestProgressConcurrentReaders hammers one writer against many readers;
-// under -race the atomic pointer cell must be clean and every observed
-// snapshot internally consistent (Nodes never exceeds the published max).
+// TestProgressFoldsEvents drives a Progress cell as a Sink: phase,
+// incumbent, gap and done events each publish a folded snapshot, hot
+// node events publish nothing, and only the request owner's closing
+// "done" phase event sets Done.
+func TestProgressFoldsEvents(t *testing.T) {
+	var p Progress
+	p.Publish(ProgressSnapshot{TraceID: "req-1", Phase: "admitted", Gap: -1})
+	step := func(e Event) ProgressSnapshot {
+		t.Helper()
+		p.Event(e)
+		s, ok := p.Snapshot()
+		if !ok || s.TraceID != "req-1" {
+			t.Fatalf("after %+v: snapshot %+v", e, s)
+		}
+		return s
+	}
+	if s := step(Event{Kind: KindPhase, Phase: "root_lp", Gap: -1}); s.Phase != "root_lp" || s.Gap != -1 {
+		t.Fatalf("root_lp: %+v", s)
+	}
+	if s := step(Event{Kind: KindPhase, Phase: "search", Node: 1, BestBound: 3, Gap: -1}); s.Phase != "search" || s.BestBound != 3 {
+		t.Fatalf("search: %+v", s)
+	}
+	if s := step(Event{Kind: KindNode, Node: 2, Outcome: OutcomeBranched}); s.Nodes != 1 {
+		t.Fatalf("node event published a snapshot: %+v", s)
+	}
+	if s := step(Event{Kind: KindIncumbent, Node: 4, Incumbent: 5, Gap: -1}); !s.HaveIncumbent || s.Incumbent != 5 || s.Nodes != 4 || s.Incumbents != 1 {
+		t.Fatalf("incumbent: %+v", s)
+	}
+	if s := step(Event{Kind: KindGap, Node: 6, Incumbent: 5, BestBound: 4, Gap: 0.2}); s.Nodes != 6 || s.BestBound != 4 || s.Gap != 0.2 {
+		t.Fatalf("gap: %+v", s)
+	}
+	s := step(Event{Kind: KindDone, Node: 9, Outcome: "optimal", Incumbent: 5, BestBound: 5})
+	if s.Phase != "done" || s.Done || s.Nodes != 9 || s.Gap != 0 || !s.HaveIncumbent {
+		t.Fatalf("solver done: %+v", s)
+	}
+	// The next solve of the same request starts from a clean incumbent.
+	if s := step(Event{Kind: KindPhase, Phase: "presolve", Gap: -1}); s.HaveIncumbent || s.Incumbents != 0 || s.Gap != -1 {
+		t.Fatalf("second solve's presolve kept the first solve's incumbent: %+v", s)
+	}
+	s = step(Event{Kind: KindPhase, Phase: "done", Node: 12, Outcome: "optimal", Incumbent: 8, BestBound: 8})
+	if !s.Done || s.Phase != "done" || s.Nodes != 12 || s.Incumbent != 8 || !s.HaveIncumbent {
+		t.Fatalf("closing done phase: %+v", s)
+	}
+}
+
+// TestProgressConcurrentReaders hammers one writer (publishing and
+// folding events) against many readers; under -race the cell must be
+// clean and every observed snapshot internally consistent (Nodes never
+// exceeds the published max).
 func TestProgressConcurrentReaders(t *testing.T) {
 	var p Progress
 	const max = 1000
@@ -209,6 +258,7 @@ func TestProgressConcurrentReaders(t *testing.T) {
 		defer close(done)
 		for i := 0; i <= max; i++ {
 			p.Publish(ProgressSnapshot{Phase: "search", Nodes: i})
+			p.Event(Event{Kind: KindGap, Node: i, Incumbent: 2, BestBound: 1, Gap: 0.5})
 		}
 	}()
 	var wg sync.WaitGroup

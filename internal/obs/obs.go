@@ -1,24 +1,26 @@
 // Package obs is the repo's zero-dependency observability layer: it
 // turns every placement run into explainable data without ever
-// influencing the answer. Three facilities, all optional and all safe
-// to leave wired in production paths:
+// influencing the answer. It has one observation channel and one
+// process-wide metrics registry, all optional and all safe to leave
+// wired in production paths:
 //
-//   - Solver event tracing: internal/ilp emits a structured Event
-//     stream (node expansions with depth/bound/branch variable, prunes
-//     with their reason, incumbents, a bound-gap time series, and the
-//     final stop reason) into a Sink. A nil Sink costs one branch per
-//     node; a non-nil Sink never feeds back into the search, so
-//     placements are byte-identical with tracing on or off, and — since
-//     events are emitted from the solver's sequential merge loop — the
-//     event sequence is identical modulo timing fields for any worker
-//     count.
+//   - The solver event stream: internal/ilp emits phase events,
+//     node expansions, prunes, incumbents, a bound-gap series and the
+//     stop reason into a Sink, from its sequential sections only, so
+//     the sequence is identical modulo timing for any worker count. A
+//     nil Sink costs one branch per emission site; nothing is read
+//     back, so placements are byte-identical with any consumer on or
+//     off. Every observer of a solve consumes this stream: Recorder,
+//     JSONLWriter, FlightRecorder, Progress (/debug/solvez), core's
+//     phase spans and the daemon's pprof labels; Tag stamps a trace
+//     ID and Multi fans the stream out.
 //
 //   - Phase spans: hierarchical wall-clock/alloc timers over the
 //     compile pipeline (parse → routing → dependency graph → model
-//     build → presolve → root LP → B&B → extraction → verify). All
-//     Span/Trace methods are nil-receiver-safe, so call sites need no
-//     guards, and span mutation is mutex-serialized so parallel sweeps
-//     can share a Trace.
+//     build → solve → extraction → verify). All Span/Trace methods are
+//     nil-receiver-safe, so call sites need no guards, and span
+//     mutation is mutex-serialized so parallel sweeps can share a
+//     Trace.
 //
 //   - Metrics exposition: cheap process-wide atomic counters (always
 //     on; one bulk update per solve) with Prometheus-text and JSON
@@ -31,12 +33,21 @@
 // instance.
 package obs
 
-import "sync"
+import (
+	"fmt"
+	"hash/fnv"
+	"sync"
+)
 
 // Event kinds, in the order a solve emits them.
 const (
-	// KindPresolve reports bound-propagation presolve (Fixes).
-	KindPresolve = "presolve"
+	// KindPhase opens a solve phase (Phase: "presolve", "root_lp",
+	// "cuts", "search") on the solver goroutine before its work starts,
+	// with the solve's running totals (Fixes, Iters, Refactors, Cuts,
+	// Node; BestBound once the root bound is known). core.Place closes
+	// a request's stream with Phase "done" once its answer is final:
+	// Outcome, Node, Incumbent, BestBound and Gap are the answer's.
+	KindPhase = "phase"
 	// KindRootLP reports the root relaxation (Bound, Iters, Refactors).
 	KindRootLP = "root_lp"
 	// KindCut reports one lifted cover cut accepted into the root pool
@@ -67,8 +78,9 @@ const (
 	KindDone = "done"
 	// KindFlightMeta heads a flight-recorder dump (see FlightRecorder):
 	// Node carries the retained event count, Seen/Dropped/Sampled the
-	// loss accounting. Never emitted by the solver itself; its presence
-	// marks a trace as a partial (ring-buffer) dump.
+	// loss accounting, Phase the last solver phase the recorder saw open.
+	// Never emitted by the solver itself; its presence marks a trace as
+	// a partial (ring-buffer) dump.
 	KindFlightMeta = "flight_meta"
 )
 
@@ -96,7 +108,7 @@ const (
 type Event struct {
 	Kind string `json:"kind"`
 	// TraceID joins the event to the request that produced it (see
-	// RequestCtx and Tag). Empty for unscoped solves. Deterministic —
+	// Tag). Empty for unscoped solves. Deterministic —
 	// included in determinism comparisons.
 	TraceID string `json:"trace_id,omitempty"`
 	// Node is the 1-based id of the node (KindNode/KindIncumbent), or
@@ -106,8 +118,11 @@ type Event struct {
 	Parent int `json:"parent"`
 	// Depth is the branching depth (root children are depth 1).
 	Depth int `json:"depth"`
-	// Outcome is the node outcome (KindNode) or final status (KindDone).
+	// Outcome is the node outcome (KindNode) or final status
+	// (KindDone, and the closing KindPhase "done").
 	Outcome string `json:"outcome,omitempty"`
+	// Phase names the phase a KindPhase event opens.
+	Phase string `json:"phase,omitempty"`
 	// Bound is the node's LP objective, ceiled when the objective is
 	// integral (KindNode/KindSkip: the pruning bound; KindRootLP: the
 	// raw root relaxation objective).
@@ -121,8 +136,12 @@ type Event struct {
 	Iters int `json:"iters"`
 	// Refactors is the LU refactorization delta for this event.
 	Refactors int `json:"refactors"`
-	// Fixes is the presolve bound-tightening count (KindPresolve).
+	// Fixes is the presolve bound-tightening count (KindPhase,
+	// KindDone).
 	Fixes int `json:"fixes"`
+	// Cuts is the number of root cuts accepted so far (KindPhase,
+	// KindDone).
+	Cuts int `json:"cuts,omitempty"`
 	// Incumbent is the best integer objective known at the event.
 	Incumbent float64 `json:"incumbent"`
 	// BestBound is a valid lower bound on the optimum at the event.
@@ -211,4 +230,35 @@ func Multi(sinks ...Sink) Sink {
 	default:
 		return out
 	}
+}
+
+// TraceIDFor derives the deterministic trace ID for the seq-th request
+// with the given body: a sequence number plus an FNV-1a content hash.
+// Replaying the same request stream yields the same IDs.
+func TraceIDFor(seq uint64, body []byte) string {
+	h := fnv.New64a()
+	h.Write(body)
+	return fmt.Sprintf("req-%06d-%016x", seq, h.Sum64())
+}
+
+// tagSink stamps a trace ID on every event before forwarding.
+type tagSink struct {
+	id string
+	s  Sink
+}
+
+func (t tagSink) Event(e Event) {
+	e.TraceID = t.id
+	//lint:sinkguard Tag maps a nil sink to nil, so t.s is never nil
+	t.s.Event(e)
+}
+
+// Tag wraps s so every event carries TraceID id. Returns s unchanged
+// when id is empty, and nil when s is nil (preserving the solver's
+// disabled-sink fast path).
+func Tag(id string, s Sink) Sink {
+	if s == nil || id == "" {
+		return s
+	}
+	return tagSink{id: id, s: s}
 }

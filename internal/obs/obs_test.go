@@ -47,7 +47,7 @@ func TestJSONLRoundTrip(t *testing.T) {
 	var buf bytes.Buffer
 	w := NewJSONLWriter(&buf)
 	events := []Event{
-		{Kind: KindPresolve, Fixes: 4, Gap: -1},
+		{Kind: KindPhase, Phase: "root_lp", Fixes: 4, Gap: -1},
 		{Kind: KindNode, Node: 1, Depth: 0, Outcome: OutcomeBranched, Bound: 3.25, BranchVar: 2, Frac: 0.5, Iters: 7, Gap: -1},
 		{Kind: KindDone, Node: 5, Outcome: "optimal", Reason: "none", Incumbent: 4, BestBound: 4, Gap: 0, TimeMS: 1.25},
 	}

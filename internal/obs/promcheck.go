@@ -3,67 +3,12 @@ package obs
 import (
 	"bufio"
 	"fmt"
-	"hash/fnv"
 	"io"
 	"regexp"
 	"sort"
 	"strconv"
 	"strings"
 )
-
-// RequestCtx scopes one placement request's observability: a
-// deterministic trace ID and a span trace that carries it. Threaded
-// through core.Options.Request, the ID is stamped on every solver
-// event (Event.TraceID) and rendered in the span tree, so a request's
-// phase spans, B&B events, and log lines are joinable by ID. A nil
-// RequestCtx is a safe no-op everywhere it is accepted.
-type RequestCtx struct {
-	// TraceID identifies the request. Deterministic by construction
-	// (see TraceIDFor): identical request sequences produce identical
-	// IDs, so traces can be diffed across runs.
-	TraceID string
-	// Trace collects the request's phase spans.
-	Trace *Trace
-}
-
-// NewRequestCtx returns a request context with a fresh span trace
-// carrying the given ID.
-func NewRequestCtx(traceID string) *RequestCtx {
-	tr := NewTrace()
-	tr.SetID(traceID)
-	return &RequestCtx{TraceID: traceID, Trace: tr}
-}
-
-// TraceIDFor derives the deterministic trace ID for the seq-th request
-// with the given body: a sequence number plus an FNV-1a content hash.
-// Replaying the same request stream yields the same IDs.
-func TraceIDFor(seq uint64, body []byte) string {
-	h := fnv.New64a()
-	h.Write(body)
-	return fmt.Sprintf("req-%06d-%016x", seq, h.Sum64())
-}
-
-// tagSink stamps a trace ID on every event before forwarding.
-type tagSink struct {
-	id string
-	s  Sink
-}
-
-func (t tagSink) Event(e Event) {
-	e.TraceID = t.id
-	//lint:sinkguard Tag maps a nil sink to nil, so t.s is never nil
-	t.s.Event(e)
-}
-
-// Tag wraps s so every event carries TraceID id. Returns s unchanged
-// when id is empty, and nil when s is nil (preserving the solver's
-// disabled-sink fast path).
-func Tag(id string, s Sink) Sink {
-	if s == nil || id == "" {
-		return s
-	}
-	return tagSink{id: id, s: s}
-}
 
 // metricNameRE is the Prometheus metric/label name grammar.
 var metricNameRE = regexp.MustCompile(`^[a-zA-Z_:][a-zA-Z0-9_:]*$`)

@@ -163,6 +163,16 @@ func (s *Span) SetCount(name string, v int64) {
 	s.counters = append(s.counters, counter{name, v})
 }
 
+// Ended reports whether End has been called (false for nil).
+func (s *Span) Ended() bool {
+	if s == nil {
+		return false
+	}
+	s.trace.mu.Lock()
+	defer s.trace.mu.Unlock()
+	return s.ended
+}
+
 // Wall returns the measured wall time (0 until End).
 func (s *Span) Wall() time.Duration {
 	if s == nil {

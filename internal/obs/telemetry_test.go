@@ -209,15 +209,16 @@ func TestTagSink(t *testing.T) {
 	}
 }
 
-func TestRequestCtxTraceCarriesID(t *testing.T) {
-	rc := NewRequestCtx("req-000003-deadbeef")
-	sp := rc.Trace.Span("place")
+func TestTraceSetIDCarriesID(t *testing.T) {
+	tr := NewTrace()
+	tr.SetID("req-000003-deadbeef")
+	sp := tr.Span("place")
 	sp.End()
-	if rc.Trace.ID() != "req-000003-deadbeef" {
-		t.Fatalf("trace ID = %q", rc.Trace.ID())
+	if tr.ID() != "req-000003-deadbeef" {
+		t.Fatalf("trace ID = %q", tr.ID())
 	}
-	if !strings.Contains(rc.Trace.Render(), "trace req-000003-deadbeef") {
-		t.Fatalf("render missing trace ID header:\n%s", rc.Trace.Render())
+	if !strings.Contains(tr.Render(), "trace req-000003-deadbeef") {
+		t.Fatalf("render missing trace ID header:\n%s", tr.Render())
 	}
 	var nilTrace *Trace
 	nilTrace.SetID("x") // must not panic

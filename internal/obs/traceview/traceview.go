@@ -1,7 +1,8 @@
 // Package traceview summarizes JSONL solver traces produced by the
 // obs.JSONLWriter sink: prune-reason histogram, gap-convergence table,
-// and internal-consistency checks (outcome counts must sum to the node
-// total; the final gap must match the done event).
+// the phase the stream last entered, and internal-consistency checks
+// (outcome counts must sum to the node total; phase events must name
+// a known phase; a complete trace ends in a done event).
 package traceview
 
 import (
@@ -41,6 +42,10 @@ type Summary struct {
 	FinalBound    float64        `json:"final_bound"`
 	FinalGap      float64        `json:"final_gap"`
 	MaxDepth      int            `json:"max_depth"`
+	// Phase is the solver phase the stream last entered (see
+	// obs.KindPhase; the request owner's closing "done" aside): where a
+	// partial flight dump's last solve was when it ended or was dumped.
+	Phase string `json:"phase,omitempty"`
 	// Partial marks a flight-recorder ring dump: the trace is the tail
 	// of the event stream, so a missing done event is expected and the
 	// loss accounting below says how much is gone.
@@ -49,6 +54,13 @@ type Summary struct {
 	DroppedEvents int  `json:"dropped_events,omitempty"`
 	SampledEvents int  `json:"sampled_events,omitempty"`
 	hasDone       bool
+	badPhase      string // first phase event naming an unknown phase
+}
+
+// knownPhases are the phases a KindPhase event may open: the solver's
+// four plus the request owner's closing "done".
+var knownPhases = map[string]bool{
+	"presolve": true, "root_lp": true, "cuts": true, "search": true, "done": true,
 }
 
 // Summarize reads a JSONL trace and aggregates it.
@@ -66,8 +78,13 @@ func Of(events []obs.Event) *Summary {
 	for _, e := range events {
 		s.Events++
 		switch e.Kind {
-		case obs.KindPresolve:
-			s.PresolveFixes += e.Fixes
+		case obs.KindPhase:
+			if e.Phase != "done" {
+				s.Phase = e.Phase
+			}
+			if !knownPhases[e.Phase] && s.badPhase == "" {
+				s.badPhase = e.Phase
+			}
 		case obs.KindRootLP:
 			s.RootBound = e.Bound
 			s.SimplexIters += e.Iters
@@ -91,6 +108,7 @@ func Of(events []obs.Event) *Summary {
 			})
 		case obs.KindDone:
 			s.hasDone = true
+			s.PresolveFixes += e.Fixes
 			s.FinalStatus = e.Outcome
 			s.StopReason = e.Reason
 			s.FinalObj = e.Incumbent
@@ -98,6 +116,7 @@ func Of(events []obs.Event) *Summary {
 			s.FinalGap = e.Gap
 		case obs.KindFlightMeta:
 			s.Partial = true
+			s.Phase = e.Phase
 			s.SeenEvents = e.Seen
 			s.DroppedEvents = e.Dropped
 			s.SampledEvents = e.Sampled
@@ -108,7 +127,8 @@ func Of(events []obs.Event) *Summary {
 
 // Check verifies the trace's internal accounting: every expanded node
 // carries exactly one outcome (so outcome counts sum to the node
-// total), and the trace is closed by a done event. Partial
+// total), every phase event names a known phase, and the trace is
+// closed by a done event. Partial
 // flight-recorder dumps keep the outcome consistency check (it holds
 // over whatever tail the ring retained) but are excused from the
 // done-event requirement — a ring dumped mid-solve, or after the ring
@@ -120,6 +140,9 @@ func (s *Summary) Check() error {
 	}
 	if sum != s.Nodes {
 		return fmt.Errorf("outcome counts sum to %d, want %d nodes", sum, s.Nodes)
+	}
+	if s.badPhase != "" {
+		return fmt.Errorf("phase event names unknown phase %q", s.badPhase)
 	}
 	if !s.hasDone && !s.Partial {
 		return fmt.Errorf("trace has no done event")
@@ -136,6 +159,9 @@ func (s *Summary) Render() string {
 	if s.Partial {
 		fmt.Fprintf(&sb, "partial flight dump: %d of %d events retained (%d dropped under contention, %d sampled away)\n",
 			s.Events-1, s.SeenEvents, s.DroppedEvents, s.SampledEvents)
+		if s.Phase != "" {
+			fmt.Fprintf(&sb, "dump ended in phase %s\n", s.Phase)
+		}
 	}
 	fmt.Fprintf(&sb, "trace: %d events, %d nodes (max depth %d), %d stale skips, %d incumbents\n",
 		s.Events, s.Nodes, s.MaxDepth, s.StaleSkips, s.Incumbents)

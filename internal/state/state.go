@@ -152,19 +152,18 @@ func sessionID(seq uint64, canonical []byte) string {
 }
 
 // Create registers a session for an explicit-form instance and runs
-// the initial (cold) solve. opts' observational fields (Request,
-// Trace, SolverSink) apply to this first solve only; the remaining
-// fields are fixed for the session's lifetime.
+// the initial (cold) solve. opts' observational fields (Trace and
+// SolverSink) apply to this first solve only; the remaining fields are
+// fixed for the session's lifetime.
 func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result, error) {
 	if err := sp.ExplicitOnly(); err != nil {
 		return nil, nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
 	own := sp.Clone()
 	fixed := opts
-	fixed.Request, fixed.Trace, fixed.SolverSink = nil, nil, nil
-	fixed.Progress = nil      // live-progress cells are per-request, never per-session
-	fixed.EncodeCache = nil   // the session attaches its own
-	fixed.SolutionCache = nil // likewise
+	fixed.Trace, fixed.SolverSink = nil, nil // per-request, never per-session
+	fixed.EncodeCache = nil                  // the session attaches its own
+	fixed.SolutionCache = nil                // likewise
 	s := &Session{
 		mgr:   m,
 		opts:  fixed,
@@ -180,7 +179,7 @@ func (m *Manager) Create(sp *spec.Problem, opts core.Options) (*Session, *Result
 	m.mu.Unlock()
 
 	s.mu.Lock()
-	res, err := s.solveLocked(own, opts.Request, opts.SolverSink)
+	res, err := s.solveLocked(own, opts.Trace, opts.SolverSink)
 	if err != nil {
 		s.mu.Unlock()
 		return nil, nil, err
@@ -279,9 +278,9 @@ func (s *Session) SolutionStats() core.SolutionCacheStats {
 
 // Delta applies a delta sequence atomically: every op validates and
 // the updated instance solves, or the session is left untouched and
-// the error wraps ErrBadDelta. req/sink scope observability to this
-// call only. Concurrent calls serialize on the session lock.
-func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink) (*Result, error) {
+// the error wraps ErrBadDelta. tr and sink (either may be nil) observe
+// this call only. Concurrent calls serialize on the session lock.
+func (s *Session) Delta(deltas []spec.Delta, tr *obs.Trace, sink obs.Sink) (*Result, error) {
 	if len(deltas) == 0 {
 		return nil, fmt.Errorf("%w: empty delta list", ErrBadDelta)
 	}
@@ -291,7 +290,7 @@ func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink)
 	if err := next.ApplyAll(deltas); err != nil {
 		return nil, fmt.Errorf("%w: %v", ErrBadDelta, err)
 	}
-	res, err := s.solveLocked(next, req, sink)
+	res, err := s.solveLocked(next, tr, sink)
 	if err != nil {
 		return nil, err
 	}
@@ -303,7 +302,7 @@ func (s *Session) Delta(deltas []spec.Delta, req *obs.RequestCtx, sink obs.Sink)
 
 // solveLocked answers for an instance via the fallback ladder and
 // commits the placement as current. Callers hold s.mu.
-func (s *Session) solveLocked(sp *spec.Problem, req *obs.RequestCtx, sink obs.Sink) (*Result, error) {
+func (s *Session) solveLocked(sp *spec.Problem, tr *obs.Trace, sink obs.Sink) (*Result, error) {
 	key := string(sp.Canonical())
 	if pl, ok := s.memo[key]; ok {
 		//lint:sharedmut caller holds s.mu (see doc)
@@ -320,8 +319,7 @@ func (s *Session) solveLocked(sp *spec.Problem, req *obs.RequestCtx, sink obs.Si
 	opts := s.opts
 	opts.EncodeCache = s.cache
 	opts.SolutionCache = s.sols
-	opts.Request = req
-	opts.SolverSink = sink
+	opts.Trace, opts.SolverSink = tr, sink
 	before := s.cache.Stats()
 	solBefore := s.sols.Stats()
 	pl, err := core.Place(prob, opts)

@@ -52,8 +52,8 @@ go test -tags rulefitdebug ./internal/ilp/ ./internal/core/ ./internal/invariant
 step "observability: traced -race smoke"
 go test -race -run 'Trace|Determin' ./internal/ilp/ ./internal/core/ ./internal/obs/... || fail=1
 
-step "observability: disabled-sink overhead gate"
-go test -run TestDisabledSinkOverheadSmoke ./internal/ilp/ || fail=1
+step "observability: disabled-sink and disabled-introspection overhead gates"
+go test -run 'TestDisabledSinkOverheadSmoke|TestDisabledIntrospectionOverheadSmoke' ./internal/ilp/ || fail=1
 
 step "daemon: build + e2e (race)"
 go build ./cmd/ruleplaced ./cmd/benchdiff || fail=1
@@ -78,11 +78,11 @@ done
 /tmp/ruleload -target http://127.0.0.1:18090 -seed 7 -requests 8 -rps 50 -quiet -out /tmp/load.json || fail=1
 /tmp/loaddiff -check /tmp/load.json || fail=1
 /tmp/loaddiff /tmp/load.json /tmp/load.json >/dev/null || fail=1
-curl -sf http://127.0.0.1:18090/statusz | grep -q '"requests_1m"' || fail=1
+curl -sf http://127.0.0.1:18090/statusz | grep '"requests_1m"' >/dev/null || fail=1
 kill -TERM "$daemon_pid" 2>/dev/null
 wait "$daemon_pid" 2>/dev/null || true
 
-step "introspection smoke (solvez mid-solve, deadline flight dump, traceview)"
+step "introspection smoke (solvez mid-solve, deadline flight dump, traceview, session phases)"
 go build -o /tmp/traceview ./cmd/traceview || fail=1
 go run ./cmd/benchgen -k 4 -rules 8 -capacity 60 -ingresses 4 -paths-per-ingress 4 -out /tmp/introspect-problem.json || fail=1
 rm -rf /tmp/flight-smoke && mkdir -p /tmp/flight-smoke
@@ -127,16 +127,43 @@ curl -sf -X POST --data @/tmp/introspect-tight.json \
 if grep -q '"stop_reason":"deadline"' /tmp/introspect-killed.json; then
     dump=$(ls -t /tmp/flight-smoke/flight-req-*.jsonl 2>/dev/null | head -1)
     [ -s "$dump" ] || { echo "introspection smoke: no flight dump in /tmp/flight-smoke"; fail=1; }
-    /tmp/traceview -check "$dump" | grep -q 'partial' \
+    /tmp/traceview -check "$dump" > /tmp/introspect-dump-summary.txt \
+        || { echo "introspection smoke: dump failed traceview -check"; fail=1; }
+    grep -q 'partial' /tmp/introspect-dump-summary.txt \
         || { echo "introspection smoke: dump not a partial trace"; fail=1; }
+    grep -q 'dump ended in phase' /tmp/introspect-dump-summary.txt \
+        || { echo "introspection smoke: dump summary names no solver phase"; fail=1; }
 else
     echo "solve beat the 250ms deadline; skipping dump assertions"
 fi
+# Session solves feed /debug/solvez too: a create and a warm delta on
+# the tight instance must each show a solver phase while they run.
+phase_re='"phase": "\(presolve\|root_lp\|cuts\|search\)"'
+scrape_phase() {
+    for _ in $(seq 1 200); do
+        curl -sf http://127.0.0.1:18093/debug/solvez > /tmp/solvez-session.json 2>/dev/null || true
+        grep -q "$phase_re" /tmp/solvez-session.json && return 0
+        sleep 0.05
+    done
+    return 1
+}
+printf '{"problem": %s, "options": {"merging": true, "timeLimitSec": 1}}' \
+    "$(cat /tmp/introspect-tight-problem.json)" > /tmp/introspect-session.json
+curl -sf -X POST --data @/tmp/introspect-session.json \
+    http://127.0.0.1:18093/v1/session > /tmp/introspect-create.json &
+curl_pid=$!
+scrape_phase || { echo "introspection smoke: no solver phase in solvez during session create"; fail=1; }
+wait "$curl_pid" || { echo "introspection smoke: session create failed"; fail=1; }
+sid=$(sed -n 's/.*"session_id":"\([^"]*\)".*/\1/p' /tmp/introspect-create.json)
+curl -sf -X POST --data '{"deltas":[{"op":"set_capacity","switch":1,"capacity":26}]}' \
+    "http://127.0.0.1:18093/v1/session/$sid/delta" > /tmp/introspect-delta.json &
+curl_pid=$!
+scrape_phase || { echo "introspection smoke: no solver phase in solvez during session delta"; fail=1; }
+wait "$curl_pid" || { echo "introspection smoke: session delta failed"; fail=1; }
+grep -q '"path":"warm"' /tmp/introspect-delta.json \
+    || { echo "introspection smoke: delta not answered warm"; fail=1; }
 kill -TERM "$daemon_pid" 2>/dev/null
 wait "$daemon_pid" 2>/dev/null || true
-
-step "introspection: disabled-overhead gate"
-go test -run 'TestDisabledIntrospectionOverheadSmoke' ./internal/ilp/ || fail=1
 
 step "delta smoke (live session replay, byte-identity + loaddiff gates)"
 /tmp/ruleplaced -addr 127.0.0.1:18092 >/tmp/ruleplaced-delta.log 2>&1 &
@@ -150,7 +177,7 @@ done
 /tmp/loaddiff -check /tmp/delta.json || fail=1
 /tmp/loaddiff /tmp/delta.json /tmp/delta.json >/dev/null || fail=1
 grep -q '"mismatched": 0' /tmp/delta.json || fail=1
-curl -sf http://127.0.0.1:18092/metrics | grep -q 'rulefit_sessions_active 1' || fail=1
+curl -sf http://127.0.0.1:18092/metrics | grep 'rulefit_sessions_active 1' >/dev/null || fail=1
 kill -TERM "$daemon_pid" 2>/dev/null
 wait "$daemon_pid" 2>/dev/null || true
 
